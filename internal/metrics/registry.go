@@ -321,19 +321,32 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Totals sums every counter family across its labels. The aggregate is
-// what the benchmark baseline records: bounded in size no matter how
-// many per-group label values the run created.
+// Totals gives one value per counter family: the sum across its labels,
+// or — when the family also has an unlabelled entry — that entry alone.
+// A layer that counts an event once in total and once per group (core's
+// lwg_sends_total, lwg_deliveries_total) keeps the total unlabelled;
+// adding its labelled twins on top would count every event twice. The
+// aggregate is what the benchmark baseline records: bounded in size no
+// matter how many per-group label values the run created.
 func (r *Registry) Totals() map[string]int64 {
 	if r == nil {
 		return nil
 	}
 	out := make(map[string]int64)
-	r.eachEntry(func(f *family, e *entry) {
-		if f.kind == KindCounter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.families {
+		if f.kind != KindCounter {
+			continue
+		}
+		if e, ok := f.entries[labelKey(nil)]; ok {
+			out[f.name] = e.c.Value()
+			continue
+		}
+		for _, e := range f.entries {
 			out[f.name] += e.c.Value()
 		}
-	})
+	}
 	return out
 }
 

@@ -115,6 +115,38 @@ func TestRegistrySnapshotAndTotals(t *testing.T) {
 	}
 }
 
+// TestTotalsUnlabelledEntryIsTheTotal: a family holding both an
+// unlabelled aggregate and per-label twins of the same events (core's
+// lwg_sends_total) totals to the aggregate, not to twice it.
+func TestTotalsUnlabelledEntryIsTheTotal(t *testing.T) {
+	type inc struct {
+		labels []Label
+		n      int64
+	}
+	cases := []struct {
+		name string
+		incs []inc
+		want int64
+	}{
+		{"labelled only: summed", []inc{{[]Label{L("lwg", "a")}, 3}, {[]Label{L("lwg", "b")}, 4}}, 7},
+		{"unlabelled only", []inc{{nil, 5}}, 5},
+		{"both: the unlabelled entry", []inc{{[]Label{L("lwg", "a")}, 3}, {nil, 7}, {[]Label{L("lwg", "b")}, 4}}, 7},
+		{"both, aggregate still zero", []inc{{nil, 0}, {[]Label{L("lwg", "a")}, 3}}, 0},
+		{"two label keys, no aggregate", []inc{{[]Label{L("hwg", "1"), L("lwg", "a")}, 2}, {[]Label{L("lwg", "a")}, 2}}, 4},
+	}
+	for _, c := range cases {
+		r := NewRegistry()
+		for _, i := range c.incs {
+			r.Counter("lwg_sends_total", i.labels...).Add(i.n)
+		}
+		r.Counter("other_total", L("k", "v")).Add(1) // a neighbouring family is unaffected
+		tot := r.Totals()
+		if tot["lwg_sends_total"] != c.want || tot["other_total"] != 1 {
+			t.Errorf("%s: Totals = %v, want lwg_sends_total %d and other_total 1", c.name, tot, c.want)
+		}
+	}
+}
+
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sends_total", L("group", "chat")).Add(5)

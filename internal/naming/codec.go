@@ -5,35 +5,24 @@ import (
 	"plwg/internal/wire"
 )
 
-// Binary-codec support (internal/wire) for the digest/delta anti-entropy
-// messages — the naming traffic that recurs every sync round on the real
-// transport. The request/reply and legacy full-sync messages are rare or
-// fallback-only and stay on gob. Identifiers 32–47 are reserved for this
-// package.
+// Binary codecs (internal/wire) for every naming-service message.
+// Identifiers 64–95 are reserved for this package.
 
 const (
-	wireMsgDigest byte = iota + 32
+	wireMsgDigest byte = iota + 64
 	wireMsgDelta
+	wireMsgRequest
+	wireMsgReply
+	wireMsgSync
+	wireMsgMultipleMappings
 )
-
-func putNamingViewID(b *wire.Buffer, v ids.ViewID) {
-	b.Int64(int64(v.Coord))
-	b.Uint64(v.Seq)
-}
-
-func getNamingViewID(r *wire.Reader) ids.ViewID {
-	return ids.ViewID{Coord: ids.ProcessID(r.Int64()), Seq: r.Uint64()}
-}
 
 func putEntry(b *wire.Buffer, e *Entry) {
 	b.String(string(e.LWG))
-	putNamingViewID(b, e.View)
-	b.Uint64(uint64(len(e.Ancestors)))
-	for _, a := range e.Ancestors {
-		putNamingViewID(b, a)
-	}
-	b.Int64(int64(e.HWG))
-	putNamingViewID(b, e.HWGView)
+	b.ViewID(e.View)
+	b.ViewIDs(e.Ancestors)
+	b.HWG(e.HWG)
+	b.ViewID(e.HWGView)
 	b.Uint64(e.Ver)
 	b.Int64(e.Refreshed)
 	b.Bool(e.Deleted)
@@ -42,24 +31,47 @@ func putEntry(b *wire.Buffer, e *Entry) {
 func getEntry(r *wire.Reader) Entry {
 	var e Entry
 	e.LWG = ids.LWGID(r.String())
-	e.View = getNamingViewID(r)
-	n := r.Uint64()
-	if n > uint64(r.Len()) { // each ancestor takes ≥ 2 bytes
-		r.Bytes() // force the sticky error via an oversized read
-		return e
-	}
-	if n > 0 && r.Err() == nil {
-		e.Ancestors = make(ids.ViewIDs, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			e.Ancestors = append(e.Ancestors, getNamingViewID(r))
-		}
-	}
-	e.HWG = ids.HWGID(r.Int64())
-	e.HWGView = getNamingViewID(r)
+	e.View = r.ViewID()
+	e.Ancestors = r.ViewIDs()
+	e.HWG = r.HWG()
+	e.HWGView = r.ViewID()
 	e.Ver = r.Uint64()
 	e.Refreshed = r.Int64()
 	e.Deleted = r.Bool()
 	return e
+}
+
+func putEntries(b *wire.Buffer, es []Entry) {
+	b.Uint64(uint64(len(es)))
+	for i := range es {
+		putEntry(b, &es[i])
+	}
+}
+
+func getEntries(r *wire.Reader) []Entry {
+	// name length, view id 2, ancestor count, hwg, hwg view 2, ver,
+	// refreshed, deleted
+	n := r.Count(10)
+	if n == 0 {
+		return nil
+	}
+	es := make([]Entry, n)
+	for i := range es {
+		es[i] = getEntry(r)
+	}
+	return es
+}
+
+func putDigest(b *wire.Buffer, lwg ids.LWGID, d Digest) {
+	b.String(string(lwg))
+	b.Uint64(uint64(d.Count))
+	b.Uint64(d.MaxVer)
+	b.Uint64(d.Hash)
+}
+
+func getDigest(r *wire.Reader) (ids.LWGID, Digest) {
+	lwg := ids.LWGID(r.String())
+	return lwg, Digest{Count: uint32(r.Uint64()), MaxVer: r.Uint64(), Hash: r.Uint64()}
 }
 
 // WireID implements wire.Marshaler.
@@ -67,17 +79,14 @@ func (m *msgDigest) WireID() byte { return wireMsgDigest }
 
 // MarshalWire implements wire.Marshaler.
 func (m *msgDigest) MarshalWire(b *wire.Buffer) bool {
-	b.Int64(int64(m.From))
+	b.PID(m.From)
 	b.Byte(m.Version)
 	b.Uint64(m.Gen)
 	b.Uint64(m.DBHash)
 	b.Bool(m.Reply)
 	b.Uint64(uint64(len(m.Digests)))
 	for _, d := range m.Digests {
-		b.String(string(d.LWG))
-		b.Uint64(uint64(d.D.Count))
-		b.Uint64(d.D.MaxVer)
-		b.Uint64(d.D.Hash)
+		putDigest(b, d.LWG, d.D)
 	}
 	return true
 }
@@ -87,78 +96,112 @@ func (m *msgDelta) WireID() byte { return wireMsgDelta }
 
 // MarshalWire implements wire.Marshaler.
 func (m *msgDelta) MarshalWire(b *wire.Buffer) bool {
-	b.Int64(int64(m.From))
+	b.PID(m.From)
 	b.Bool(m.Reply)
 	b.Uint64(uint64(len(m.Groups)))
 	for i := range m.Groups {
 		g := &m.Groups[i]
-		b.String(string(g.LWG))
-		b.Uint64(uint64(g.D.Count))
-		b.Uint64(g.D.MaxVer)
-		b.Uint64(g.D.Hash)
-		b.Uint64(uint64(len(g.Entries)))
-		for j := range g.Entries {
-			putEntry(b, &g.Entries[j])
-		}
+		putDigest(b, g.LWG, g.D)
+		putEntries(b, g.Entries)
 	}
 	return true
 }
 
-func registerCodecs() {
+// WireID implements wire.Marshaler.
+func (m *msgRequest) WireID() byte { return wireMsgRequest }
+
+// MarshalWire implements wire.Marshaler.
+func (m *msgRequest) MarshalWire(b *wire.Buffer) bool {
+	b.Uint64(m.ReqID)
+	b.PID(m.From)
+	b.Int64(int64(m.Op))
+	b.String(string(m.LWG))
+	putEntry(b, &m.Entry)
+	return true
+}
+
+// WireID implements wire.Marshaler.
+func (m *msgReply) WireID() byte { return wireMsgReply }
+
+// MarshalWire implements wire.Marshaler.
+func (m *msgReply) MarshalWire(b *wire.Buffer) bool {
+	b.Uint64(m.ReqID)
+	putEntries(b, m.Entries)
+	return true
+}
+
+// WireID implements wire.Marshaler.
+func (m *msgSync) WireID() byte { return wireMsgSync }
+
+// MarshalWire implements wire.Marshaler.
+func (m *msgSync) MarshalWire(b *wire.Buffer) bool {
+	b.PID(m.From)
+	b.Bool(m.Reply)
+	putEntries(b, m.Entries)
+	return true
+}
+
+// WireID implements wire.Marshaler.
+func (m *MsgMultipleMappings) WireID() byte { return wireMsgMultipleMappings }
+
+// MarshalWire implements wire.Marshaler.
+func (m *MsgMultipleMappings) MarshalWire(b *wire.Buffer) bool {
+	b.String(string(m.LWG))
+	putEntries(b, m.Mappings)
+	return true
+}
+
+func init() {
 	wire.Register(wireMsgDigest, func(r *wire.Reader) (wire.Marshaler, error) {
-		m := &msgDigest{From: ids.ProcessID(r.Int64())}
+		m := &msgDigest{From: r.PID()}
 		m.Version = r.Byte()
 		m.Gen = r.Uint64()
 		m.DBHash = r.Uint64()
 		m.Reply = r.Bool()
-		n := r.Uint64()
-		if n > uint64(r.Len()) { // each element takes ≥ 4 bytes
-			return nil, wire.ErrTruncated
-		}
-		if n > 0 && r.Err() == nil {
-			m.Digests = make([]LWGDigest, 0, n)
-			for i := uint64(0); i < n && r.Err() == nil; i++ {
-				d := LWGDigest{LWG: ids.LWGID(r.String())}
-				d.D.Count = uint32(r.Uint64())
-				d.D.MaxVer = r.Uint64()
-				d.D.Hash = r.Uint64()
-				m.Digests = append(m.Digests, d)
+		if n := r.Count(4); n > 0 { // name length, count, max version, hash
+			m.Digests = make([]LWGDigest, n)
+			for i := range m.Digests {
+				d := &m.Digests[i]
+				d.LWG, d.D = getDigest(r)
 			}
 		}
 		return m, r.Err()
 	})
 	wire.Register(wireMsgDelta, func(r *wire.Reader) (wire.Marshaler, error) {
-		m := &msgDelta{From: ids.ProcessID(r.Int64())}
+		m := &msgDelta{From: r.PID()}
 		m.Reply = r.Bool()
-		n := r.Uint64()
-		if n > uint64(r.Len()) { // each group takes ≥ 5 bytes
-			return nil, wire.ErrTruncated
-		}
-		if n > 0 && r.Err() == nil {
-			m.Groups = make([]groupDelta, 0, n)
-			for i := uint64(0); i < n && r.Err() == nil; i++ {
-				g := groupDelta{LWG: ids.LWGID(r.String())}
-				g.D.Count = uint32(r.Uint64())
-				g.D.MaxVer = r.Uint64()
-				g.D.Hash = r.Uint64()
-				en := r.Uint64()
-				if en > uint64(r.Len()) { // each entry takes ≥ 20 bytes
-					return nil, wire.ErrTruncated
-				}
-				if en > 0 && r.Err() == nil {
-					g.Entries = make([]Entry, 0, en)
-					for j := uint64(0); j < en && r.Err() == nil; j++ {
-						g.Entries = append(g.Entries, getEntry(r))
-					}
-				}
-				m.Groups = append(m.Groups, g)
+		if n := r.Count(5); n > 0 { // digest 4, entry count
+			m.Groups = make([]groupDelta, n)
+			for i := range m.Groups {
+				g := &m.Groups[i]
+				g.LWG, g.D = getDigest(r)
+				g.Entries = getEntries(r)
 			}
 		}
 		return m, r.Err()
 	})
+	wire.Register(wireMsgRequest, func(r *wire.Reader) (wire.Marshaler, error) {
+		m := &msgRequest{ReqID: r.Uint64()}
+		m.From = r.PID()
+		m.Op = op(r.Int64())
+		m.LWG = ids.LWGID(r.String())
+		m.Entry = getEntry(r)
+		return m, r.Err()
+	})
+	wire.Register(wireMsgReply, func(r *wire.Reader) (wire.Marshaler, error) {
+		m := &msgReply{ReqID: r.Uint64()}
+		m.Entries = getEntries(r)
+		return m, r.Err()
+	})
+	wire.Register(wireMsgSync, func(r *wire.Reader) (wire.Marshaler, error) {
+		m := &msgSync{From: r.PID()}
+		m.Reply = r.Bool()
+		m.Entries = getEntries(r)
+		return m, r.Err()
+	})
+	wire.Register(wireMsgMultipleMappings, func(r *wire.Reader) (wire.Marshaler, error) {
+		m := &MsgMultipleMappings{LWG: ids.LWGID(r.String())}
+		m.Mappings = getEntries(r)
+		return m, r.Err()
+	})
 }
-
-var (
-	_ wire.Marshaler = (*msgDigest)(nil)
-	_ wire.Marshaler = (*msgDelta)(nil)
-)

@@ -1,90 +1,28 @@
 package naming
 
 import (
-	"reflect"
 	"testing"
 
 	"plwg/internal/ids"
 	"plwg/internal/wire"
+	"plwg/internal/wire/wiretest"
 )
 
-// encodeMsg renders a digest/delta message with the binary codec.
-func encodeMsg(t testing.TB, m wire.Marshaler) []byte {
-	t.Helper()
-	var b wire.Buffer
-	if !wire.Encode(&b, m) {
-		t.Fatalf("message %T did not encode", m)
-	}
-	return append([]byte(nil), b.B...)
-}
-
-// FuzzSyncCodec feeds arbitrary bytes to the digest/delta decoders: they
-// must never panic, and anything that decodes must re-encode and decode
-// back to the same message (round-trip stability), so a corrupted or
-// adversarial datagram cannot corrupt reconciliation state.
+// FuzzSyncCodec feeds arbitrary bytes to the decoder of every naming
+// message — request, reply, full sync, digest, delta and the
+// MULTIPLE-MAPPINGS callback: none may panic or allocate beyond
+// wiretest.AllocBound, and anything that decodes must re-encode and
+// decode back to the same message (round-trip stability), so a
+// corrupted or adversarial datagram cannot corrupt reconciliation state.
 func FuzzSyncCodec(f *testing.F) {
-	RegisterWireTypes()
-	seedDigest := &msgDigest{
-		From: 3, Version: digestVersion, Gen: 17, DBHash: 0xfeedface,
-		Digests: []LWGDigest{
-			{LWG: "alpha", D: Digest{Count: 2, MaxVer: 9, Hash: 0xabc}},
-			{LWG: "beta", D: Digest{Count: 1, MaxVer: 1, Hash: 1}},
-		},
-		Reply: true,
-	}
-	seedDelta := &msgDelta{
-		From: 1,
-		Groups: []groupDelta{
-			{
-				LWG: "alpha",
-				D:   Digest{Count: 1, MaxVer: 4, Hash: 42},
-				Entries: []Entry{{
-					LWG:       "alpha",
-					View:      ids.ViewID{Coord: 2, Seq: 3},
-					Ancestors: ids.ViewIDs{{Coord: 2, Seq: 1}, {Coord: 2, Seq: 2}},
-					HWG:       7,
-					HWGView:   ids.ViewID{Coord: 2, Seq: 5},
-					Ver:       4,
-					Refreshed: 123456789,
-					Deleted:   true,
-				}},
-			},
-			{LWG: "empty-request"},
-		},
-		Reply: false,
-	}
-	f.Add(encodeMsg(f, seedDigest))
-	f.Add(encodeMsg(f, seedDelta))
-	f.Add(encodeMsg(f, &msgDigest{From: -1, Version: 99}))
-	f.Add(encodeMsg(f, &msgDelta{Reply: true}))
-	f.Add([]byte{byte(wireMsgDelta), 0x00, 0x00, 0xff})
-	f.Add([]byte{byte(wireMsgDigest)})
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := wire.Decode(wire.NewReader(raw))
-		if err != nil {
-			return
-		}
-		switch m.(type) {
-		case *msgDigest, *msgDelta:
-		default:
-			return // an identifier of another package's type
-		}
-		re := encodeMsg(t, m)
-		m2, err := wire.Decode(wire.NewReader(re))
-		if err != nil {
-			t.Fatalf("re-encoded message failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("round trip drifted:\n first: %#v\nsecond: %#v", m, m2)
-		}
-	})
+	f.Add([]byte{wireMsgDelta, 0x00, 0x00, 0xff})
+	f.Add(wiretest.Encode(f, &msgDigest{From: -1, Version: 99}))
+	wiretest.FuzzCodec(f)
 }
 
 // TestSyncCodecRoundTrip pins exact round-trips for representative
 // messages (the deterministic complement of the fuzz target).
 func TestSyncCodecRoundTrip(t *testing.T) {
-	RegisterWireTypes()
 	msgs := []wire.Marshaler{
 		&msgDigest{From: 2, Version: digestVersion, Gen: 5, DBHash: 999},
 		&msgDigest{
@@ -99,12 +37,6 @@ func TestSyncCodecRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, m := range msgs {
-		got, err := wire.Decode(wire.NewReader(encodeMsg(t, m)))
-		if err != nil {
-			t.Fatalf("%T: decode: %v", m, err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T: round trip drifted:\n in:  %#v\n out: %#v", m, m, got)
-		}
+		wiretest.RoundTrip(t, m)
 	}
 }

@@ -50,8 +50,8 @@ func TestEnvelopeCodecSurvivesFragmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.B[0] != envCodec {
-		t.Fatalf("expected codec envelope, got tag %d", buf.B[0])
+	if buf.B[0] != envVersion {
+		t.Fatalf("header = %#02x, want the bare version byte %#02x", buf.B[0], envVersion)
 	}
 	chunks := fragment(42, buf.B)
 	buf.Release()

@@ -79,9 +79,6 @@ type Node struct {
 // Listen binds the node's UDP socket. Call before Start; the bound
 // address (with the resolved ephemeral port) is available via Addr.
 func Listen(cfg NodeConfig) (*Node, error) {
-	core.RegisterWireTypes()
-	naming.RegisterWireTypes()
-
 	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("resolve %q: %w", cfg.Listen, err)

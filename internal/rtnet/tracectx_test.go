@@ -2,111 +2,104 @@ package rtnet
 
 import (
 	"bytes"
-	"encoding/gob"
-	"sync"
 	"testing"
 
 	"plwg/internal/wire"
 )
 
-// gobTestMsg has no codec (wire.Marshaler) support, forcing the gob
-// envelope fallback.
-type gobTestMsg struct{ Data []byte }
-
-func (m *gobTestMsg) WireSize() int { return len(m.Data) }
-
-var gobTestRegOnce sync.Once
-
-func registerGobTestMsg() {
-	gobTestRegOnce.Do(func() { gob.Register(&gobTestMsg{}) })
+// encodeEnvelope serializes the envelope without the fragment-header
+// padding of the send path. The caller must Release the buffer.
+func encodeEnvelope(env *envelope) (*wire.Buffer, error) {
+	b := wire.GetBuffer()
+	if err := encodeEnvelopeInto(b, env); err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b, nil
 }
 
-// TestEnvelopeTraceCtxCodecRoundTrip checks the envCodecTC layout: the
-// trace context rides between the tag byte and the codec body, and both
-// come back intact.
-func TestEnvelopeTraceCtxCodecRoundTrip(t *testing.T) {
+// TestEnvelopeHeaderFlags pins the header byte: the layout version in
+// the low nibble, the trace context and unicast as flag bits, and every
+// combination decoding back to the envelope that was sent — the trace
+// context rides between the header and the body.
+func TestEnvelopeHeaderFlags(t *testing.T) {
 	registerFragTestMsg()
 	tc := wire.TraceCtx{Origin: 4, VT: 123456, Wall: 1700000000000000001, Sampled: true, Ref: "hwg/9"}
-	env := &envelope{From: 4, Uni: true, Addr: "hwg/9", Msg: &fragTestMsg{Data: []byte("payload")}, tc: &tc}
-	buf, err := encodeEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		uni  bool
+		tc   *wire.TraceCtx
+		hdr  byte
+	}{
+		{"multicast", false, nil, envVersion},
+		{"unicast", true, nil, envVersion | envFlagUni},
+		{"multicast+tc", false, &tc, envVersion | envFlagTC},
+		{"unicast+tc", true, &tc, envVersion | envFlagTC | envFlagUni},
 	}
-	defer buf.Release()
-	if buf.B[0] != envCodecTC {
-		t.Fatalf("tag = %d, want envCodecTC (%d)", buf.B[0], envCodecTC)
-	}
-	dec, err := decodeEnvelope(buf.B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.tc == nil || *dec.tc != tc {
-		t.Fatalf("trace context: got %+v, want %+v", dec.tc, tc)
-	}
-	if dec.From != env.From || dec.Uni != env.Uni || dec.Addr != env.Addr {
-		t.Fatalf("envelope header mismatch: %+v vs %+v", dec, env)
-	}
-	m, ok := dec.Msg.(*fragTestMsg)
-	if !ok || !bytes.Equal(m.Data, []byte("payload")) {
-		t.Fatalf("body corrupted: %#v", dec.Msg)
-	}
-}
-
-// TestEnvelopeTraceCtxGobRoundTrip checks the envGobTC layout: same
-// trace-context prefix, gob-encoded body.
-func TestEnvelopeTraceCtxGobRoundTrip(t *testing.T) {
-	registerGobTestMsg()
-	tc := wire.TraceCtx{Origin: 2, VT: 7, Wall: 99, Sampled: true, Ref: "ns/0"}
-	env := &envelope{From: 2, Addr: "ns/0", Msg: &gobTestMsg{Data: []byte("gob body")}, tc: &tc}
-	buf, err := encodeEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer buf.Release()
-	if buf.B[0] != envGobTC {
-		t.Fatalf("tag = %d, want envGobTC (%d)", buf.B[0], envGobTC)
-	}
-	dec, err := decodeEnvelope(buf.B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.tc == nil || *dec.tc != tc {
-		t.Fatalf("trace context: got %+v, want %+v", dec.tc, tc)
-	}
-	m, ok := dec.Msg.(*gobTestMsg)
-	if !ok || !bytes.Equal(m.Data, []byte("gob body")) {
-		t.Fatalf("body corrupted: %#v", dec.Msg)
+	for _, c := range cases {
+		env := &envelope{From: 4, Uni: c.uni, Addr: "hwg/9", Msg: &fragTestMsg{Data: []byte("payload")}, tc: c.tc}
+		buf, err := encodeEnvelope(env)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if buf.B[0] != c.hdr {
+			t.Fatalf("%s: header = %#02x, want %#02x", c.name, buf.B[0], c.hdr)
+		}
+		dec, err := decodeEnvelope(buf.B)
+		buf.Release()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if (dec.tc == nil) != (c.tc == nil) || (c.tc != nil && *dec.tc != *c.tc) {
+			t.Fatalf("%s: trace context: got %+v, want %+v", c.name, dec.tc, c.tc)
+		}
+		if dec.From != env.From || dec.Uni != env.Uni || dec.Addr != env.Addr {
+			t.Fatalf("%s: envelope header mismatch: %+v vs %+v", c.name, dec, env)
+		}
+		m, ok := dec.Msg.(*fragTestMsg)
+		if !ok || !bytes.Equal(m.Data, []byte("payload")) {
+			t.Fatalf("%s: body corrupted: %#v", c.name, dec.Msg)
+		}
 	}
 }
 
-// TestEnvelopeWithoutTraceCtxKeepsLegacyTags pins backward
-// compatibility: an unstamped envelope must encode with the original
-// envCodec/envGob tags so uninstrumented peers interoperate.
-func TestEnvelopeWithoutTraceCtxKeepsLegacyTags(t *testing.T) {
+// TestEnvelopeUnknownHeaderRejected walks every header byte: only the
+// four legal ones decode. In particular the tags of the retired gob
+// envelopes (0 and 3) and an unknown flag bit are malformed datagrams,
+// not something to guess at.
+func TestEnvelopeUnknownHeaderRejected(t *testing.T) {
 	registerFragTestMsg()
-	registerGobTestMsg()
-	codecEnv := &envelope{From: 1, Msg: &fragTestMsg{Data: []byte("x")}}
-	buf, err := encodeEnvelope(codecEnv)
+	tc := wire.TraceCtx{Origin: 1, Ref: "x"}
+	plain, err := encodeEnvelope(&envelope{From: 1, Msg: &fragTestMsg{Data: []byte("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.B[0] != envCodec {
-		t.Fatalf("codec tag = %d, want envCodec (%d)", buf.B[0], envCodec)
-	}
-	buf.Release()
-	gobEnv := &envelope{From: 1, Msg: &gobTestMsg{Data: []byte("x")}}
-	buf, err = encodeEnvelope(gobEnv)
+	defer plain.Release()
+	stamped, err := encodeEnvelope(&envelope{From: 1, Msg: &fragTestMsg{Data: []byte("x")}, tc: &tc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.B[0] != envGob {
-		t.Fatalf("gob tag = %d, want envGob (%d)", buf.B[0], envGob)
+	defer stamped.Release()
+	for h := 0; h < 256; h++ {
+		hdr := byte(h)
+		body := plain.B
+		if hdr&envFlagTC != 0 {
+			body = stamped.B
+		}
+		data := append([]byte{hdr}, body[1:]...)
+		_, err := decodeEnvelope(data)
+		legal := hdr&^envFlagMask == envVersion
+		if legal && err != nil {
+			t.Errorf("header %#02x: %v", hdr, err)
+		}
+		if !legal && err == nil {
+			t.Errorf("header %#02x decoded; want it rejected", hdr)
+		}
 	}
-	buf.Release()
 }
 
 // TestEnvelopeTraceCtxTruncated checks that every strict prefix of a
-// TC-tagged envelope fails to decode rather than mis-parsing: the trace
+// stamped envelope fails to decode rather than mis-parsing: the trace
 // context sits in front of the body, so corruption there must not be
 // interpreted as message bytes.
 func TestEnvelopeTraceCtxTruncated(t *testing.T) {

@@ -48,8 +48,6 @@
 package rtnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"net/netip"
@@ -66,31 +64,28 @@ import (
 )
 
 // envelope is the unit of transfer: one encoded envelope per UDP
-// datagram (pre-fragmentation). A leading tag byte selects the codec:
-// hot message types that implement wire.Marshaler use the compact
-// binary codec; everything else rides a per-datagram gob stream (gob
-// re-sends type descriptors on every independent stream, which is why
-// the hot path avoids it). Concrete message types must be registered
-// with gob by the protocol packages (their RegisterWireTypes
-// functions), which also install the codec decoders.
+// datagram (pre-fragmentation). On the wire it is one header byte, the
+// trace context when the header says so, then From, Addr and the
+// message in the binary codec (internal/wire): the only wire format, so
+// every message type that can be sent implements wire.Marshaler.
 type envelope struct {
 	From ids.ProcessID
 	Addr string
 	Uni  bool
 	Msg  netsim.Message
 
-	// tc is the optional wire-level trace context. Unexported so the gob
-	// fallback never serializes it as part of the body: the context rides
-	// between the tag byte and the body (envCodecTC/envGobTC), one layout
-	// for both codecs, invisible to decoders that predate it.
+	// tc is the optional wire-level trace context.
 	tc *wire.TraceCtx
 }
 
+// The envelope header byte: layout version in the low nibble, flags in
+// the high one. A receiver counts any other version, and any flag it
+// does not know, as a malformed datagram.
 const (
-	envGob     byte = 0 // gob-encoded envelope follows
-	envCodec   byte = 1 // binary codec: From, Uni, Addr, then the message
-	envCodecTC byte = 2 // trace context, then the envCodec layout
-	envGobTC   byte = 3 // trace context, then the envGob layout
+	envVersion  byte = 0x01 // From, Addr, then the identifier-prefixed message
+	envFlagTC   byte = 0x80 // a wire.TraceCtx precedes From
+	envFlagUni  byte = 0x40 // unicast: delivered without a subscription check
+	envFlagMask      = envFlagTC | envFlagUni
 )
 
 // PipelineConfig tunes the transport's parallel data plane. The zero
@@ -341,6 +336,25 @@ func (t *Transport) stampTC(env *envelope) {
 		Ref:     env.Addr,
 	}
 	t.ins.traceCtxSent.Inc()
+}
+
+// sendFailed accounts for a message that could not be encoded — a type
+// without a wire codec, or one carrying a payload without one. That is
+// a bug in whatever built the message, so it must be loud: a counted
+// send error and a trace event naming the Go type, never a silent drop.
+func (t *Transport) sendFailed(env *envelope) {
+	t.ins.sendErrors.Inc()
+	if t.tracer != nil {
+		t.tracer.Trace(trace.Event{
+			At:    t.d.Sim().Now(),
+			Node:  t.pid,
+			Layer: "net",
+			What:  trace.WireSendError,
+			Text:  fmt.Sprintf("%T to %s cannot be encoded", env.Msg, env.Addr),
+			Ref:   env.Addr,
+			Data:  fmt.Sprintf("%T", env.Msg),
+		})
+	}
 }
 
 func (t *Transport) countSend(n int) {
@@ -610,7 +624,8 @@ func (t *Transport) sendChunks(to ids.ProcessID, addr netip.AddrPort, chunks []s
 func (t *Transport) encodeChunks(env *envelope) (chunks []sendChunk, buf *wire.Buffer) {
 	b, err := encodeEnvelopeFramed(env)
 	if err != nil {
-		return nil, nil // unregistered type; nothing sane to do at this layer
+		t.sendFailed(env)
+		return nil, nil
 	}
 	t.nextMsgID++
 	if len(b.B) <= fragHeader+fragPayload {
@@ -635,7 +650,7 @@ func (t *Transport) Multicast(from netsim.NodeID, addr netsim.Addr, msg netsim.M
 	t.stampTC(&env)
 	chunks, buf := t.encodeChunks(&env)
 	if chunks == nil {
-		return // unregistered type; nothing sane to do at this layer
+		return // counted by encodeChunks
 	}
 	for _, p := range t.order {
 		if t.blocked[p] {
@@ -887,24 +902,11 @@ func (t *Transport) PipelineStats() PipelineStats {
 	return st
 }
 
-// encodeEnvelope serializes the envelope into a pooled buffer. The
-// caller must Release the buffer once the bytes are copied out. The gob
-// fallback shares the pooled storage but still pays a fresh encoder per
-// datagram: each datagram is decoded as an independent stream, and gob
-// streams cannot be split (the type descriptors live at the front).
-func encodeEnvelope(env *envelope) (*wire.Buffer, error) {
-	b := wire.GetBuffer()
-	if err := encodeEnvelopeInto(b, env); err != nil {
-		b.Release()
-		return nil, err
-	}
-	return b, nil
-}
-
-// encodeEnvelopeFramed is encodeEnvelope with fragHeader bytes of
-// zero-padding reserved at the front, so a message that fits one
+// encodeEnvelopeFramed serializes the envelope into a pooled buffer
+// behind fragHeader bytes of zero-padding, so a message that fits one
 // datagram can have its fragment header written in place and the pooled
-// buffer handed to the writers directly — no per-chunk copy.
+// buffer handed to the writers directly — no per-chunk copy. The caller
+// must Release the buffer.
 func encodeEnvelopeFramed(env *envelope) (*wire.Buffer, error) {
 	b := wire.GetBuffer()
 	var pad [fragHeader]byte
@@ -916,33 +918,27 @@ func encodeEnvelopeFramed(env *envelope) (*wire.Buffer, error) {
 	return b, nil
 }
 
+// encodeEnvelopeInto fails only for a message that cannot be sent: one
+// that has no codec, or that carries content without one.
 func encodeEnvelopeInto(b *wire.Buffer, env *envelope) error {
-	prefix := len(b.B)
-	if m, ok := env.Msg.(wire.Marshaler); ok {
-		if env.tc != nil {
-			b.Byte(envCodecTC)
-			env.tc.MarshalWire(b)
-		} else {
-			b.Byte(envCodec)
-		}
-		b.Int64(int64(env.From))
-		b.Bool(env.Uni)
-		b.String(env.Addr)
-		if wire.Encode(b, m) {
-			return nil
-		}
-		// Nested content without codec support (e.g. a data message
-		// carrying an unregistered payload): gob the whole envelope.
-		b.B = b.B[:prefix]
+	m, ok := env.Msg.(wire.Marshaler)
+	if !ok {
+		return fmt.Errorf("encode envelope: %T has no wire codec", env.Msg)
+	}
+	hdr := envVersion
+	if env.Uni {
+		hdr |= envFlagUni
 	}
 	if env.tc != nil {
-		b.Byte(envGobTC)
+		b.Byte(hdr | envFlagTC)
 		env.tc.MarshalWire(b)
 	} else {
-		b.Byte(envGob)
+		b.Byte(hdr)
 	}
-	if err := gob.NewEncoder(b).Encode(env); err != nil {
-		return fmt.Errorf("encode envelope: %w", err)
+	b.PID(env.From)
+	b.String(env.Addr)
+	if !wire.Encode(b, m) {
+		return fmt.Errorf("encode envelope: %T carries content without a wire codec", env.Msg)
 	}
 	return nil
 }
@@ -951,47 +947,28 @@ func decodeEnvelope(data []byte) (envelope, error) {
 	if len(data) == 0 {
 		return envelope{}, fmt.Errorf("decode envelope: empty")
 	}
-	switch data[0] {
-	case envCodec, envCodecTC:
-		r := wire.NewReader(data[1:])
-		var tc *wire.TraceCtx
-		if data[0] == envCodecTC {
-			tc = new(wire.TraceCtx)
-			if !tc.UnmarshalWire(r) {
-				return envelope{}, fmt.Errorf("decode envelope: bad trace context")
-			}
-		}
-		env := envelope{From: ids.ProcessID(r.Int64()), tc: tc}
-		env.Uni = r.Bool()
-		env.Addr = r.String()
-		m, err := wire.Decode(r)
-		if err != nil {
-			return envelope{}, fmt.Errorf("decode envelope: %w", err)
-		}
-		msg, ok := m.(netsim.Message)
-		if !ok {
-			return envelope{}, fmt.Errorf("decode envelope: %T is not a message", m)
-		}
-		env.Msg = msg
-		return env, nil
-	case envGob, envGobTC:
-		body := data[1:]
-		var tc *wire.TraceCtx
-		if data[0] == envGobTC {
-			r := wire.NewReader(body)
-			tc = new(wire.TraceCtx)
-			if !tc.UnmarshalWire(r) {
-				return envelope{}, fmt.Errorf("decode envelope: bad trace context")
-			}
-			body = body[len(body)-r.Len():]
-		}
-		var env envelope
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-			return envelope{}, fmt.Errorf("decode envelope: %w", err)
-		}
-		env.tc = tc
-		return env, nil
-	default:
-		return envelope{}, fmt.Errorf("decode envelope: unknown codec tag %d", data[0])
+	hdr := data[0]
+	if hdr&^envFlagMask != envVersion {
+		return envelope{}, fmt.Errorf("decode envelope: unknown header %#02x", hdr)
 	}
+	r := wire.NewReader(data[1:])
+	env := envelope{Uni: hdr&envFlagUni != 0}
+	if hdr&envFlagTC != 0 {
+		env.tc = new(wire.TraceCtx)
+		if !env.tc.UnmarshalWire(r) {
+			return envelope{}, fmt.Errorf("decode envelope: bad trace context")
+		}
+	}
+	env.From = r.PID()
+	env.Addr = r.String()
+	m, err := wire.Decode(r)
+	if err != nil {
+		return envelope{}, fmt.Errorf("decode envelope: %w", err)
+	}
+	msg, ok := m.(netsim.Message)
+	if !ok {
+		return envelope{}, fmt.Errorf("decode envelope: %T is not a message", m)
+	}
+	env.Msg = msg
+	return env, nil
 }

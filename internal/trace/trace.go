@@ -73,6 +73,11 @@ const (
 	// reference — the envelope address it was sent to), tying the
 	// receiver's ring to the sender's without a shared recorder.
 	WireRecv = "wire-recv"
+	// WireSendError marks a message the rtnet transport could not encode
+	// and therefore did not send (Layer "net"): its type, or a payload
+	// it carries, has no wire codec. The event carries Data (the Go
+	// type of the message) and Ref (the address it was bound for).
+	WireSendError = "wire-send-error"
 )
 
 // Event is one traced protocol event.

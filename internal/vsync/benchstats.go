@@ -1,8 +1,6 @@
 package vsync
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"plwg/internal/ids"
@@ -55,25 +53,17 @@ type CodecStat struct {
 	AllocsPerOp float64
 }
 
-// CodecBenchStats measures the binary codec against per-datagram gob —
-// encode and decode of the representative data message — and returns
-// the results for inclusion in BENCH_plwg.json (cmd/lwgbench -json).
-// The gob side reproduces the transport's fallback path exactly: a
-// pooled buffer but a fresh encoder per datagram, because every
-// datagram is decoded as an independent stream.
+// CodecBenchStats measures the binary codec — encode and decode of the
+// representative data message — and returns the results for inclusion
+// in BENCH_plwg.json (cmd/lwgbench -json) and the benchmark's wire.*
+// layer ceilings.
 func CodecBenchStats() []CodecStat {
-	RegisterWireTypes()
 	msg := benchMsgData()
 
 	buf := wire.GetBuffer()
 	wire.Encode(buf, msg)
 	wireBytes := append([]byte(nil), buf.B...)
 	buf.Release()
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(msg); err != nil {
-		return nil
-	}
-	gobBytes := gobBuf.Bytes()
 
 	mk := func(name string, fn func(b *testing.B)) CodecStat {
 		r := testing.Benchmark(fn)
@@ -88,27 +78,10 @@ func CodecBenchStats() []CodecStat {
 				bb.Release()
 			}
 		}),
-		mk("encode-gob", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bb := wire.GetBuffer()
-				_ = gob.NewEncoder(bb).Encode(msg)
-				bb.Release()
-			}
-		}),
 		mk("decode-wire", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := wire.Decode(wire.NewReader(wireBytes)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		mk("decode-gob", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var m msgData
-				if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&m); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,82 +1,47 @@
 package vsync
 
 import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
 	"testing"
 
 	"plwg/internal/ids"
 	"plwg/internal/wire"
+	"plwg/internal/wire/wiretest"
 )
 
 func vid(c ids.ProcessID, s uint64) ids.ViewID { return ids.ViewID{Coord: c, Seq: s} }
 
-// BenchmarkCodecEncode compares encoding the representative hot-path
-// data message with the binary codec against the gob fallback (pooled
-// buffer, fresh encoder per datagram — the real transport's path).
+// BenchmarkCodecEncode encodes the representative hot-path data message
+// into a pooled buffer — the real transport's path.
 func BenchmarkCodecEncode(b *testing.B) {
-	RegisterWireTypes()
 	msg := benchMsgData()
-	b.Run("wire", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bb := wire.GetBuffer()
-			if !wire.Encode(bb, msg) {
-				b.Fatal("codec refused the message")
-			}
-			bb.Release()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bb := wire.GetBuffer()
+		if !wire.Encode(bb, msg) {
+			b.Fatal("codec refused the message")
 		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bb := wire.GetBuffer()
-			if err := gob.NewEncoder(bb).Encode(msg); err != nil {
-				b.Fatal(err)
-			}
-			bb.Release()
-		}
-	})
+		bb.Release()
+	}
 }
 
 // BenchmarkCodecDecode is the receive-side counterpart.
 func BenchmarkCodecDecode(b *testing.B) {
-	RegisterWireTypes()
-	msg := benchMsgData()
-	buf := wire.GetBuffer()
-	wire.Encode(buf, msg)
-	wireBytes := append([]byte(nil), buf.B...)
-	buf.Release()
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(msg); err != nil {
-		b.Fatal(err)
+	wireBytes := wiretest.Encode(b, benchMsgData())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.Decode(wire.NewReader(wireBytes)); err != nil {
+			b.Fatal(err)
+		}
 	}
-	gobBytes := gobBuf.Bytes()
-
-	b.Run("wire", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.Decode(wire.NewReader(wireBytes)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var m msgData
-			if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
+
+// FuzzVsyncCodec feeds arbitrary bytes to the decoders of every
+// heavy-weight group message (see wiretest.FuzzCodec for the contract).
+func FuzzVsyncCodec(f *testing.F) { wiretest.FuzzCodec(f) }
 
 // TestCodecRoundTrip pins the codec against the source of truth: a
 // message must decode back to exactly what was encoded.
 func TestCodecRoundTrip(t *testing.T) {
-	RegisterWireTypes()
 	msgs := []wire.Marshaler{
 		benchMsgData(),
 		&msgData{GID: 1, View: vid(2, 9), Sender: 2, Seq: 1, Ordered: true},
@@ -87,25 +52,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		&msgHeartbeat{GID: 9, From: 2, View: vid(2, 2), MaxSeq: 55},
 	}
 	for _, m := range msgs {
-		buf := wire.GetBuffer()
-		if !wire.Encode(buf, m) {
-			t.Fatalf("codec refused %T", m)
-		}
-		got, err := wire.Decode(wire.NewReader(buf.B))
-		buf.Release()
-		if err != nil {
-			t.Fatalf("decode %T: %v", m, err)
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("round trip mismatch:\n sent %#v\n got  %#v", m, got)
-		}
+		wiretest.RoundTrip(t, m)
 	}
 }
 
 // TestCodecTruncated verifies corrupt input fails cleanly rather than
 // panicking or fabricating a message.
 func TestCodecTruncated(t *testing.T) {
-	RegisterWireTypes()
 	buf := wire.GetBuffer()
 	defer buf.Release()
 	wire.Encode(buf, benchMsgData())

@@ -9,9 +9,8 @@ package wire
 // comparable across machines; wall clocks are, to NTP precision, which
 // is what a latency SLO histogram needs).
 //
-// The context rides between the envelope tag byte and the envelope body
-// (see rtnet's envCodecTC/envGobTC tags), so one layout covers codec and
-// gob bodies alike and old decoders never see it.
+// The context rides between the envelope header byte and the envelope
+// body, announced by a flag bit of the header (rtnet's envFlagTC).
 type TraceCtx struct {
 	// Origin is the sending process id.
 	Origin int64

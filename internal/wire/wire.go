@@ -1,17 +1,18 @@
-// Package wire is a compact hand-rolled binary codec for the hot-path
-// protocol messages. encoding/gob ships a full type description with
-// every independently decoded stream — one per UDP datagram on the real
-// transport — which dominates the per-datagram encode cost. The codec
-// replaces that with one identifier byte per registered type and
-// varint-packed fields, and pools its buffers so the steady-state send
-// path allocates nothing.
+// Package wire is the one wire format of the protocol stack: a compact
+// hand-rolled binary codec with one identifier byte per registered type
+// and varint-packed fields, whose buffers are pooled so the steady-state
+// send path allocates nothing.
 //
-// Only the message types that dominate traffic (data, batches, acks,
-// heartbeats) implement Marshaler; everything else falls back to gob at
-// the transport layer. A Marshaler whose nested content cannot be
-// encoded (e.g. a data message carrying an unregistered payload)
-// reports false from MarshalWire and the caller falls back for the
-// whole datagram, so the two codecs never mix within one message.
+// Every message that can cross a socket implements Marshaler and
+// registers a Decoder; there is no second codec to fall back to. A
+// Marshaler whose nested content cannot be encoded (a data message
+// carrying a payload without a codec — only test payloads are like
+// that) reports false from MarshalWire, and the transport counts the
+// message as a send error.
+//
+// Decoders read bytes straight off a UDP socket, so they treat every
+// length prefix as hostile: Reader.Count checks an element count against
+// the bytes that remain before anything is allocated.
 package wire
 
 import (
@@ -26,9 +27,9 @@ import (
 type Marshaler interface {
 	// WireID returns the registered type identifier.
 	WireID() byte
-	// MarshalWire appends the message body to b. It returns false if
-	// the message cannot be encoded by the codec (the caller must
-	// discard the buffer contents and fall back to gob).
+	// MarshalWire appends the message body to b. False means the
+	// message cannot be sent: some nested content has no codec. The
+	// caller discards the buffer contents and reports the failure.
 	MarshalWire(b *Buffer) bool
 }
 
@@ -38,10 +39,10 @@ type Decoder func(r *Reader) (Marshaler, error)
 var decoders [256]Decoder
 
 // Register installs the decoder for a type identifier. Identifier
-// ranges are assigned per package (vsync 1–15, core 16–31, naming
-// 32–47) so registrations cannot collide. Register panics on a
-// duplicate identifier: that is a programming error, not a runtime
-// condition.
+// ranges are assigned per package (vsync 1–31, core 32–63, naming
+// 64–95; 96–255 are free for tests and tools) so registrations cannot
+// collide. Register panics on a duplicate identifier: that is a
+// programming error, not a runtime condition.
 func Register(id byte, dec Decoder) {
 	if id == 0 {
 		panic("wire: type id 0 is reserved")
@@ -52,12 +53,30 @@ func Register(id byte, dec Decoder) {
 	decoders[id] = dec
 }
 
-// Encode appends the type identifier and body of m. It returns false —
-// with the buffer in an undefined state — if m cannot be encoded.
+// RegisteredIDs returns every identifier Register has seen, ascending.
+func RegisteredIDs() []byte {
+	var out []byte
+	for id, dec := range decoders {
+		if dec != nil {
+			out = append(out, byte(id))
+		}
+	}
+	return out
+}
+
+// Encode appends the type identifier and body of m. False — with the
+// buffer in an undefined state — means m cannot be sent (see
+// Marshaler.MarshalWire).
 func Encode(b *Buffer, m Marshaler) bool {
 	b.Byte(m.WireID())
 	return m.MarshalWire(b)
 }
+
+// maxNesting bounds how deep Decode may recurse through nested messages.
+// The protocols nest two levels (a vsync message carrying data messages
+// carrying a payload); without a bound a hostile datagram of messages
+// that carry each other recurses once per dozen input bytes.
+const maxNesting = 4
 
 // Decode reads one identifier-prefixed message from r.
 func Decode(r *Reader) (Marshaler, error) {
@@ -69,14 +88,19 @@ func Decode(r *Reader) (Marshaler, error) {
 	if dec == nil {
 		return nil, fmt.Errorf("wire: unknown type id %d", id)
 	}
-	return dec(r)
+	if r.depth >= maxNesting {
+		return nil, fmt.Errorf("wire: messages nested deeper than %d", maxNesting)
+	}
+	r.depth++
+	m, err := dec(r)
+	r.depth--
+	return m, err
 }
 
 // --- encode buffer ---------------------------------------------------------
 
 // Buffer is an append-only encode buffer. Get it from the pool with
-// GetBuffer and return it with Release. It implements io.Writer so a
-// gob encoder can share the same pooled storage on the fallback path.
+// GetBuffer and return it with Release.
 //
 // Buffers are reference-counted so one encoded message can be handed to
 // several consumers (e.g. a UDP fan-out to N peers across goroutines)
@@ -115,12 +139,6 @@ func (b *Buffer) Release() {
 
 // Reset empties the buffer without releasing its storage.
 func (b *Buffer) Reset() { b.B = b.B[:0] }
-
-// Write implements io.Writer.
-func (b *Buffer) Write(p []byte) (int, error) {
-	b.B = append(b.B, p...)
-	return len(p), nil
-}
 
 // Byte appends one byte.
 func (b *Buffer) Byte(v byte) { b.B = append(b.B, v) }
@@ -161,9 +179,10 @@ var ErrTruncated = errors.New("wire: truncated input")
 // first failure every accessor returns a zero value, so a decode
 // function can read all fields and check Err once.
 type Reader struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	depth int // Decode calls in progress
 }
 
 // NewReader wraps p for decoding. The reader aliases p; returned byte
@@ -241,3 +260,19 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Count reads an element count and checks it against the input that
+// remains: n elements of at least minBytes encoded bytes each must still
+// fit, so a hostile length prefix fails the decode before it can size an
+// allocation. It returns 0 once the reader has failed.
+func (r *Reader) Count(minBytes int) int {
+	n := r.Uint64()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(r.Len()/minBytes) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
