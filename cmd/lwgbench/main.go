@@ -8,17 +8,21 @@
 // cost as the number of light-weight groups grows, comparing the
 // digest/delta protocol against the full-database push baseline.
 //
+// Everything here runs on the virtual clock, so every number is exact
+// per seed. Wall-clock measurement (the real-UDP data plane, the codecs,
+// the enumerator) lives in benchmark/.
+//
 // Usage:
 //
-//	lwgbench -experiment fig2-latency|fig2-throughput|fig2-recovery|fig-scale|enum-throughput|all
+//	lwgbench -experiment fig2-latency|fig2-throughput|fig2-recovery|fig-scale|all
 //	         [-ns 1,2,4,8,16,32] [-groups 64,256,1024,4096]
-//	         [-enum-scope n3g2] [-enum-depth 5] [-enum-par 4]
 //	         [-seed 1] [-measure 5s] [-json BENCH_plwg.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// With -json, the full sweep plus the codec microbenchmarks run and the
-// results are written as a flat machine-readable record list, the
-// committed perf baseline future PRs diff against. The profile flags
+// With -json, the full sweep runs and the results are written as a flat
+// machine-readable record list. The committed BENCH_plwg.json is that
+// file at the default flags: CI regenerates it and compares byte for
+// byte, so a record that moves is a behaviour change. The profile flags
 // write pprof data for the run (the memory profile is taken at exit).
 package main
 
@@ -33,7 +37,6 @@ import (
 	"time"
 
 	"plwg/internal/bench"
-	"plwg/internal/vsync"
 )
 
 func main() {
@@ -46,15 +49,10 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("lwgbench", flag.ContinueOnError)
 	experiment := fs.String("experiment", "all",
-		"fig2-latency | fig2-throughput | fig2-recovery | fig-scale | rt-throughput | rt-trace-ctx | enum-throughput | all")
-	enumScope := fs.String("enum-scope", "n3g2", "enum-throughput scope")
-	enumDepth := fs.Int("enum-depth", 5, "enum-throughput depth bound")
-	enumPar := fs.Int("enum-par", 4, "enum-throughput fast-mode worker count")
+		"fig2-latency | fig2-throughput | fig2-recovery | fig-scale | all")
 	nsFlag := fs.String("ns", "1,2,4,8,16,32", "comma-separated groups-per-set sweep")
 	groupsFlag := fs.String("groups", "64,256,1024,4096",
 		"comma-separated LWG-count sweep for fig-scale")
-	procsFlag := fs.String("procs", "1,4",
-		"comma-separated GOMAXPROCS sweep for rt-throughput")
 	seed := fs.Int64("seed", 1, "simulation seed (runs are deterministic per seed)")
 	measure := fs.Duration("measure", 5*time.Second, "virtual measurement window")
 	jsonPath := fs.String("json", "", "write machine-readable results to this file and exit")
@@ -68,10 +66,6 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	groups, err := parseNs(*groupsFlag)
-	if err != nil {
-		return err
-	}
-	procs, err := parseNs(*procsFlag)
 	if err != nil {
 		return err
 	}
@@ -105,8 +99,7 @@ func run(args []string, out *os.File) error {
 	}
 
 	if *jsonPath != "" {
-		return writeJSON(*jsonPath, ns, groups, procs, *seed, d, out,
-			*enumScope, *enumDepth, *enumPar)
+		return writeJSON(*jsonPath, ns, groups, *seed, d, out)
 	}
 
 	fmt.Fprintf(out, "plwg evaluation — %d-node simulated 10 Mbps shared Ethernet, seed %d\n",
@@ -123,12 +116,6 @@ func run(args []string, out *os.File) error {
 		bench.Figure2Recovery(out, ns, *seed, d)
 	case "fig-scale":
 		bench.FigScale(out, groups, *seed, d)
-	case "rt-throughput":
-		bench.RTThroughput(out, procs, *measure, *seed)
-	case "rt-trace-ctx":
-		bench.RTTraceContextRecords(out, *measure, *seed)
-	case "enum-throughput":
-		bench.EnumThroughput(out, *enumScope, *enumDepth, *enumPar)
 	case "all":
 		bench.Figure2Latency(out, ns, *seed, d)
 		fmt.Fprintln(out)
@@ -137,47 +124,22 @@ func run(args []string, out *os.File) error {
 		bench.Figure2Recovery(out, ns, *seed, d)
 		fmt.Fprintln(out)
 		bench.FigScale(out, groups, *seed, d)
-		fmt.Fprintln(out)
-		bench.RTThroughput(out, procs, *measure, *seed)
-		fmt.Fprintln(out)
-		bench.EnumThroughput(out, *enumScope, *enumDepth, *enumPar)
 	default:
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
 	return nil
 }
 
-// writeJSON runs the Figure 2 and fig-scale sweeps plus the codec
-// microbenchmarks and writes the flat record list (mode × metric ×
-// value).
-func writeJSON(path string, ns, groups, procs []int, seed int64, d bench.Durations, out *os.File,
-	enumScope string, enumDepth, enumPar int) error {
-	fmt.Fprintf(out, "writing %s (sweep %v, groups %v, procs %v, seed %d, measure %v)\n",
-		path, ns, groups, procs, seed, d.Measure)
-	recs := bench.Figure2Records(out, ns, seed, d)
-	recs = append(recs, bench.FigScaleRecords(out, groups, seed, d)...)
-	recs = append(recs, bench.ObservabilityRecords(out, seed, d)...)
-	recs = append(recs, bench.RTThroughputRecords(out, procs, 3*time.Second, seed)...)
-	recs = append(recs, bench.RTTraceContextRecords(out, 3*time.Second, seed)...)
-	recs = append(recs, bench.RTAddrKeyRecords(out)...)
-	recs = append(recs, bench.EnumThroughputRecords(out, enumScope, enumDepth, enumPar)...)
-	fmt.Fprintln(out, "  codec microbenchmarks...")
-	for _, s := range vsync.CodecBenchStats() {
-		parts := strings.SplitN(s.Name, "-", 2) // "encode-wire" -> op, codec
-		recs = append(recs,
-			bench.Record{Experiment: "codec-" + parts[0], Mode: parts[1], Metric: "ns_per_op", Value: s.NsPerOp},
-			bench.Record{Experiment: "codec-" + parts[0], Mode: parts[1], Metric: "allocs_per_op", Value: s.AllocsPerOp})
-	}
-	rep := bench.Report{
-		GeneratedBy: "go run ./cmd/lwgbench -json " + path,
-		Seed:        seed,
-		MeasureSecs: d.Measure.Seconds(),
-		Records:     recs,
-	}
+// writeJSON runs the Figure 2, fig-scale and observability sweeps and
+// writes the flat record list (mode × metric × value).
+func writeJSON(path string, ns, groups []int, seed int64, d bench.Durations, out *os.File) error {
+	fmt.Fprintf(out, "writing %s (sweep %v, groups %v, seed %d, measure %v)\n",
+		path, ns, groups, seed, d.Measure)
+	rep := bench.ExactReport(out, ns, groups, seed, d)
 	if err := bench.WriteReport(path, rep); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "wrote %d records\n", len(recs))
+	fmt.Fprintf(out, "wrote %d records\n", len(rep.Records))
 	return nil
 }
 

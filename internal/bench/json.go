@@ -7,10 +7,10 @@ import (
 	"os"
 )
 
-// Record is one machine-readable benchmark datum: a (experiment, mode,
-// n, metric) cell of the Figure 2 sweeps, or a codec microbenchmark
-// number. BENCH_plwg.json is a flat list of these so downstream tooling
-// can diff perf trajectories across PRs without parsing tables.
+// Record is one machine-readable datum: an (experiment, mode, n,
+// metric) cell of a virtual-clock sweep. BENCH_plwg.json is a flat list
+// of these; every value is exact per seed, so a value that differs from
+// the committed file is a behaviour change.
 type Record struct {
 	Experiment string  `json:"experiment"`
 	Mode       string  `json:"mode"`
@@ -25,6 +25,27 @@ type Report struct {
 	Seed        int64    `json:"seed"`
 	MeasureSecs float64  `json:"measure_secs"`
 	Records     []Record `json:"records"`
+}
+
+// GeneratedBy is the report's provenance line. It is a constant, not the
+// command line of the run, so that regenerating the committed file at
+// any path reproduces it byte for byte.
+const GeneratedBy = "go run ./cmd/lwgbench -json BENCH_plwg.json"
+
+// ExactReport runs every experiment whose records are exact on the
+// virtual clock — the three Figure 2 sweeps over ns, fig-scale over
+// groups, and the instrumented n = 8 run with its counter totals — and
+// returns them in the order BENCH_plwg.json lists them.
+func ExactReport(w io.Writer, ns, groups []int, seed int64, d Durations) Report {
+	recs := Figure2Records(w, ns, seed, d)
+	recs = append(recs, FigScaleRecords(w, groups, seed, d)...)
+	recs = append(recs, ObservabilityRecords(w, seed, d)...)
+	return Report{
+		GeneratedBy: GeneratedBy,
+		Seed:        seed,
+		MeasureSecs: d.Measure.Seconds(),
+		Records:     recs,
+	}
 }
 
 // Figure2Records runs the three Figure 2 experiments over the sweep and

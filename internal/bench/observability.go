@@ -69,60 +69,3 @@ func ObservabilityRecords(w io.Writer, seed int64, d Durations) []Record {
 	}
 	return recs
 }
-
-// RTTraceContextRecords measures what stamping wire trace contexts at
-// the default sampling rate does to the real-UDP data plane: the same
-// closed-loop rt-throughput run with trace contexts disabled (the
-// baseline) and enabled (what a production cluster scraped by lwgcollect
-// runs). Unlike the simulated sweep above this one is wall-clock bound,
-// so the throughput delta IS the wire cost — the extra ~30 bytes per
-// sampled envelope plus the stamp/decode work. The committed
-// overhead_pct record is the regression gate: it must stay under the 3%
-// budget for the default 1-in-64 sampling.
-func RTTraceContextRecords(w io.Writer, measure time.Duration, seed int64) []Record {
-	fmt.Fprintln(w, "  rt-throughput wire trace-context overhead...")
-	// A single closed-loop run has double-digit noise on a small shared
-	// box (a one-core container time-slices four nodes' worth of
-	// goroutines), so the arms run as interleaved pairs and the committed
-	// overhead is the MEDIAN of the per-pair deltas: pairing cancels the
-	// machine drift both arms see, the median discards the rounds a
-	// scheduler hiccup ruined.
-	const rounds = 5
-	var base, sampled RTResult
-	var deltas []float64
-	for round := 0; round < rounds; round++ {
-		b, err := RunRTThroughput(0, measure, seed, RTOptions{TraceSampleEvery: -1})
-		if err != nil || !b.Converged {
-			fmt.Fprintf(w, "  baseline run did not converge (%v); skipping records\n", err)
-			return nil
-		}
-		s, err := RunRTThroughput(0, measure, seed, RTOptions{})
-		if err != nil || !s.Converged {
-			fmt.Fprintf(w, "  sampled run did not converge (%v); skipping records\n", err)
-			return nil
-		}
-		if b.MsgsPerSec > 0 {
-			deltas = append(deltas, 100*(b.MsgsPerSec-s.MsgsPerSec)/b.MsgsPerSec)
-		}
-		if b.MsgsPerSec > base.MsgsPerSec {
-			base = b
-		}
-		if s.MsgsPerSec > sampled.MsgsPerSec {
-			sampled = s
-		}
-	}
-	if len(deltas) == 0 {
-		return nil
-	}
-	sort.Float64s(deltas)
-	overhead := deltas[len(deltas)/2]
-	fmt.Fprintf(w, "  no trace ctx %.0f msgs/s peak, default sampling %.0f msgs/s peak, median paired overhead %.2f%%\n",
-		base.MsgsPerSec, sampled.MsgsPerSec, overhead)
-	return []Record{
-		{"observability", "rt-trace-ctx", base.Procs, "baseline_msgs_per_sec", base.MsgsPerSec},
-		{"observability", "rt-trace-ctx", sampled.Procs, "sampled_msgs_per_sec", sampled.MsgsPerSec},
-		{"observability", "rt-trace-ctx", sampled.Procs, "overhead_pct", overhead},
-		{"observability", "rt-trace-ctx", base.Procs, "baseline_p99_ms", base.P99Ms},
-		{"observability", "rt-trace-ctx", sampled.Procs, "sampled_p99_ms", sampled.P99Ms},
-	}
-}

@@ -25,10 +25,7 @@ import (
 // whose op lists used to dominate checkpoint size, since a BFS frontier
 // at depth d holds O(branching^d) prefixes of d ops each — is rendered
 // as op text lines and flate-compressed, which squeezes the heavily
-// repeated prefixes out. ParseCheckpoint still reads the uncompressed v1
-// format, so in-flight sweeps survive the upgrade; v1 files carry no
-// flags line and resume with POR and the probe memo off, which is what
-// the sweep that wrote them ran.
+// repeated prefixes out. It is the only format ParseCheckpoint reads.
 type Checkpoint struct {
 	Scope Scope
 	Depth int
@@ -223,27 +220,37 @@ func deflateB64(raw []byte) string {
 	return base64.StdEncoding.EncodeToString(buf.Bytes())
 }
 
+// maxInflated bounds what one compressed section may inflate to. A
+// -checkpoint file comes from outside the program and flate expands
+// about a thousandfold, so without a bound a few KB of input allocate
+// without limit. The largest section the tree writes — the frontier of
+// the n3g2 depth-8 sweep at its widest, 241,888 entries — inflates to
+// 37 MB; this leaves 7× for deeper scopes.
+const maxInflated = 256 << 20
+
 func inflateB64(payload string) ([]byte, error) {
 	comp, err := base64.StdEncoding.DecodeString(payload)
 	if err != nil {
 		return nil, err
 	}
 	zr := flate.NewReader(bytes.NewReader(comp))
-	raw, err := io.ReadAll(zr)
+	raw, err := io.ReadAll(io.LimitReader(zr, maxInflated+1))
 	if err != nil {
 		return nil, err
+	}
+	if len(raw) > maxInflated {
+		return nil, fmt.Errorf("section inflates past the %d-byte limit", maxInflated)
 	}
 	return raw, zr.Close()
 }
 
-// ParseCheckpoint reads the EncodeCheckpoint format — the current v2 and
-// the uncompressed v1 written by earlier versions.
+// ParseCheckpoint reads the EncodeCheckpoint format.
 func ParseCheckpoint(text string) (*Checkpoint, error) {
 	cp := &Checkpoint{}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 	line := 0
-	version := 0
+	sawHeader := false
 	var visitedz, memoz, frontierz strings.Builder
 	fail := func(msg string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint line %d: %s", line, msg)
@@ -254,18 +261,14 @@ func ParseCheckpoint(text string) (*Checkpoint, error) {
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		if version == 0 {
+		if !sawHeader {
 			if len(fields) != 2 || fields[0] != "enumcheckpoint" {
-				return fail(`expected header "enumcheckpoint v1" or "enumcheckpoint v2"`)
+				return fail(`expected header "enumcheckpoint v2"`)
 			}
-			switch fields[1] {
-			case "v1":
-				version = 1
-			case "v2":
-				version = 2
-			default:
-				return fail("unsupported checkpoint version " + strconv.Quote(fields[1]))
+			if fields[1] != "v2" {
+				return fail("unsupported checkpoint version " + strconv.Quote(fields[1]) + `, only "v2" is read`)
 			}
+			sawHeader = true
 			continue
 		}
 		switch fields[0] {
@@ -325,21 +328,6 @@ func ParseCheckpoint(text string) (*Checkpoint, error) {
 				vals[i] = n
 			}
 			cp.Stats = EnumStats{Visited: vals[0], Pruned: vals[1], Runs: vals[2], Deepest: vals[3]}
-		case "visited": // v1 uncompressed digests
-			for _, f := range fields[1:] {
-				d, err := strconv.ParseUint(f, 16, 64)
-				if err != nil {
-					return fail(err.Error())
-				}
-				cp.Visited = append(cp.Visited, d)
-			}
-		case "frontier": // v1 uncompressed op list
-			rest := strings.TrimSpace(strings.TrimPrefix(sc.Text(), "frontier"))
-			ops, err := parseFrontierEntry(rest)
-			if err != nil {
-				return fail(err.Error())
-			}
-			cp.Frontier = append(cp.Frontier, ops)
 		case "visitedz", "memoz", "frontierz":
 			if len(fields) != 2 {
 				return fail(fields[0] + " wants one base64 chunk")
@@ -359,25 +347,21 @@ func ParseCheckpoint(text string) (*Checkpoint, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if version == 0 {
+	if !sawHeader {
 		return nil, fmt.Errorf("checkpoint: empty input")
 	}
 	if cp.Scope.Nodes == 0 {
 		return nil, fmt.Errorf("checkpoint: scope not set")
 	}
 	var err error
-	if cp.Visited == nil {
-		if cp.Visited, err = decodeDigests(visitedz.String()); err != nil {
-			return nil, fmt.Errorf("checkpoint visitedz: %w", err)
-		}
+	if cp.Visited, err = decodeDigests(visitedz.String()); err != nil {
+		return nil, fmt.Errorf("checkpoint visitedz: %w", err)
 	}
 	if cp.Memo, err = decodeDigests(memoz.String()); err != nil {
 		return nil, fmt.Errorf("checkpoint memoz: %w", err)
 	}
-	if cp.Frontier == nil {
-		if cp.Frontier, cp.Sleep, err = decodeFrontier(frontierz.String()); err != nil {
-			return nil, fmt.Errorf("checkpoint frontierz: %w", err)
-		}
+	if cp.Frontier, cp.Sleep, err = decodeFrontier(frontierz.String()); err != nil {
+		return nil, fmt.Errorf("checkpoint frontierz: %w", err)
 	}
 	return cp, nil
 }

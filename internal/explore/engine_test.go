@@ -252,40 +252,28 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1Compat: the uncompressed v1 format written by earlier
-// versions still parses, with the pruning flags off (what those sweeps
-// ran with).
+// TestCheckpointV1Compat: the uncompressed v1 format is no longer read.
+// Any header but "enumcheckpoint v2" is an error that names the version
+// found, and v1's uncompressed directives are unknown inside a v2 file.
 func TestCheckpointV1Compat(t *testing.T) {
-	text := strings.Join([]string{
-		"enumcheckpoint v1",
-		"scope n3g1",
-		"timing 50ms 500ms 12s",
-		"depth 6",
-		"stats 10 4 14 3",
-		"visited 1a2b 3c4d ffffffffffffffff",
-		"frontier op 50ms join 0 a;op 500ms wait",
-		"frontier op 50ms part 1",
-		"",
-	}, "\n")
-	cp, err := ParseCheckpoint(text)
-	if err != nil {
-		t.Fatalf("v1 parse: %v", err)
-	}
-	if cp.POR || cp.ProbeMemo || cp.Memo != nil {
-		t.Fatalf("v1 checkpoint resumed with pruning state: %+v", cp)
-	}
-	if cp.Scope.Nodes != 3 || cp.Scope.Groups != 1 || cp.Depth != 6 {
-		t.Fatalf("v1 scope/depth wrong: %+v", cp)
-	}
-	want := []uint64{0x1a2b, 0x3c4d, ^uint64(0)}
-	if !reflect.DeepEqual(cp.Visited, want) {
-		t.Fatalf("v1 visited wrong: %x", cp.Visited)
-	}
-	if len(cp.Frontier) != 2 || len(cp.Frontier[0]) != 2 || len(cp.Frontier[1]) != 1 {
-		t.Fatalf("v1 frontier wrong: %+v", cp.Frontier)
-	}
-	if cp.Stats != (EnumStats{Visited: 10, Pruned: 4, Runs: 14, Deepest: 3}) {
-		t.Fatalf("v1 stats wrong: %+v", cp.Stats)
+	v1 := encodeCheckpointV1(&Checkpoint{
+		Scope:    Scope{Nodes: 3, Groups: 1},
+		Visited:  []uint64{0x1a2b, 0x3c4d, ^uint64(0)},
+		Frontier: [][]Op{{{Delay: 50 * time.Millisecond, Kind: OpPart, Cut: 1}}},
+	})
+	for _, tc := range []struct{ name, text, wantErr string }{
+		{"v1 file", v1, `unsupported checkpoint version "v1"`},
+		{"future version", "enumcheckpoint v3\nscope n3g1\n", `unsupported checkpoint version "v3"`},
+		{"no header", "scope n3g1\n", `expected header "enumcheckpoint v2"`},
+		{"v1 visited directive", "enumcheckpoint v2\nscope n3g1\nvisited 1a2b 3c4d\n", `unknown directive "visited"`},
+		{"v1 frontier directive", "enumcheckpoint v2\nscope n3g1\nfrontier op 50ms part 1\n", `unknown directive "frontier"`},
+	} {
+		cp, err := ParseCheckpoint(tc.text)
+		if err == nil {
+			t.Errorf("%s: parsed as %+v, want an error", tc.name, cp)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not say %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
@@ -309,7 +297,8 @@ func TestCheckpointCompression(t *testing.T) {
 }
 
 // encodeCheckpointV1 reproduces the old uncompressed rendering, kept only
-// as the baseline for the compression test.
+// as the size reference for the compression test and as the input of the
+// rejection test.
 func encodeCheckpointV1(cp *Checkpoint) string {
 	var b strings.Builder
 	b.WriteString("enumcheckpoint v1\n")

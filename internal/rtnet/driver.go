@@ -100,15 +100,6 @@ func (d *Driver) DoBatch(fns []func()) {
 	d.wakeup()
 }
 
-// doEnv injects one decoded envelope for delivery on the loop — the
-// closure-free single-packet form used by the inline data plane.
-func (d *Driver) doEnv(t *Transport, env envelope) {
-	d.mu.Lock()
-	d.inbox = append(d.inbox, task{tr: t, env: env})
-	d.mu.Unlock()
-	d.wakeup()
-}
-
 // doEnvBatch injects a batch of decoded envelopes for delivery on the
 // loop: one lock acquisition and one wakeup for the whole burst. The
 // envelope values are copied into the inbox, so the caller may reuse

@@ -43,9 +43,9 @@ type NodeConfig struct {
 	// (transport, vsync, core, naming); nil disables it at zero
 	// hot-path cost.
 	Metrics *metrics.Registry
-	// Pipeline tunes the transport's parallel data plane (decode pool,
-	// send ring, writer goroutines). The zero value picks defaults; set
-	// Pipeline.Inline for the single-goroutine baseline path.
+	// Pipeline selects the transport's data plane: the zero value is
+	// the parallel one (decode pool, send rings, writer goroutines),
+	// Pipeline.Inline the single-goroutine path.
 	Pipeline PipelineConfig
 	// TraceSampleEvery gates the wire-level trace context on
 	// high-volume traffic (data/ack/heartbeat/nack envelopes): every Nth
@@ -60,7 +60,7 @@ type NodeConfig struct {
 }
 
 // DefaultTraceSampleEvery is the default wire trace-context sampling
-// interval for high-volume message kinds: 1-in-64 keeps the rt-throughput
+// interval for high-volume message kinds: 1-in-64 keeps the data-plane
 // overhead well inside the observability budget while still yielding
 // hundreds of latency samples per second at data-plane rates.
 const DefaultTraceSampleEvery = 64

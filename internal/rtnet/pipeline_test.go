@@ -3,6 +3,7 @@ package rtnet
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -236,5 +237,107 @@ func TestPipelineCloseMidFlight(t *testing.T) {
 		for _, n := range nodes {
 			n.Close()
 		}
+	}
+}
+
+// TestInlineDataPlaneDelivers runs a cluster on PipelineConfig{Inline:
+// true} — no decode pool, no send rings, no writers — and checks the
+// data plane's contract there: every multicast, including one that
+// fragments, reaches both peers exactly once in per-sender FIFO order,
+// and Close returns. No other test builds an inline transport.
+func TestInlineDataPlaneDelivers(t *testing.T) {
+	const (
+		n       = 3
+		perNode = 60
+		bigAt   = perNode / 2
+	)
+	nodes, cols := startClusterOn(t, n, []ids.ProcessID{0}, PipelineConfig{Inline: true})
+	for _, node := range nodes {
+		st := node.tr.PipelineStats()
+		if !st.Inline || st.DecodeWorkers != 0 || st.SendWriters != 0 || st.SendRingCap != 0 {
+			t.Fatalf("inline transport reports a pipeline: %+v", st)
+		}
+		node.Do(func(ep *core.Endpoint) { _ = ep.Join("in") })
+	}
+	all := ids.NewMembers(0, 1, 2)
+	eventually(t, 15*time.Second, func() bool {
+		for _, c := range cols {
+			if v, ok := c.lastView(); !ok || !v.Members.Equal(all) {
+				return false
+			}
+		}
+		return true
+	}, "membership did not converge")
+
+	// Message k of node i is "i.k|" plus padding; one per sender is padded
+	// past the fragmentation threshold.
+	pad := strings.Repeat("x", fragPayload+fragPayload/4)
+	var wg sync.WaitGroup
+	for i, node := range nodes {
+		i, node := i, node
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < perNode; k++ {
+				msg := fmt.Sprintf("%d.%d|", i, k)
+				if k == bigAt {
+					msg += pad
+				}
+				node.Do(func(ep *core.Endpoint) {
+					if err := ep.Send("in", []byte(msg)); err != nil {
+						t.Errorf("node %d send %d: %v", i, k, err)
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	eventually(t, 30*time.Second, func() bool {
+		for _, c := range cols {
+			if len(c.dataCopy()) < n*perNode {
+				return false
+			}
+		}
+		return true
+	}, "inline data plane did not deliver every multicast")
+	time.Sleep(200 * time.Millisecond) // a duplicate would arrive about now
+
+	for r, c := range cols {
+		next := make(map[string]int) // sender -> next expected k
+		for _, d := range c.dataCopy() {
+			head, body, _ := strings.Cut(d, "|")
+			src, tag, _ := strings.Cut(head, ":") // "p1:1.17"
+			want := fmt.Sprintf("%s.%d", strings.TrimPrefix(src, "p"), next[src])
+			if tag != want {
+				t.Fatalf("receiver %d: got %q from %s, want %q (lost, duplicated or reordered)", r, tag, src, want)
+			}
+			wantBody := ""
+			if next[src] == bigAt {
+				wantBody = pad
+			}
+			if body != wantBody {
+				t.Fatalf("receiver %d: message %q arrived with %d body bytes, want %d",
+					r, tag, len(body), len(wantBody))
+			}
+			next[src]++
+		}
+		for i := 0; i < n; i++ {
+			if got := next[fmt.Sprintf("p%d", i)]; got != perNode {
+				t.Fatalf("receiver %d delivered %d messages from p%d, want %d", r, got, i, perNode)
+			}
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		for _, node := range nodes {
+			node.Close()
+		}
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return on the inline data plane")
 	}
 }

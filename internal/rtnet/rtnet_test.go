@@ -47,8 +47,13 @@ func (c *collector) dataCopy() []string {
 }
 
 // startCluster boots n nodes over real UDP on loopback with ephemeral
-// ports.
+// ports, on the default (pipelined) data plane.
 func startCluster(t *testing.T, n int, servers []ids.ProcessID) ([]*Node, []*collector) {
+	t.Helper()
+	return startClusterOn(t, n, servers, PipelineConfig{})
+}
+
+func startClusterOn(t *testing.T, n int, servers []ids.ProcessID, pc PipelineConfig) ([]*Node, []*collector) {
 	t.Helper()
 	nodes := make([]*Node, n)
 	cols := make([]*collector, n)
@@ -59,6 +64,7 @@ func startCluster(t *testing.T, n int, servers []ids.ProcessID) ([]*Node, []*col
 			Listen:      "127.0.0.1:0",
 			NameServers: servers,
 			Upcalls:     cols[i],
+			Pipeline:    pc,
 			Seed:        int64(i + 1),
 		})
 		if err != nil {

@@ -88,36 +88,30 @@ const (
 	envFlagMask      = envFlagTC | envFlagUni
 )
 
-// PipelineConfig tunes the transport's parallel data plane. The zero
-// value picks defaults (a small decode pool and two writer goroutines,
-// sized off the core count). Set Inline to run the whole data plane on
-// the reader and loop goroutines — the historical single-goroutine
-// path, kept as the A/B baseline for the rt-throughput experiment.
+// PipelineConfig selects between the transport's two data planes. The
+// zero value is the pipeline described above.
 type PipelineConfig struct {
-	// Inline disables the pipeline: envelopes decode on the reader
-	// goroutine and enter the loop one at a time, and WriteToUDP runs
-	// synchronously on the protocol loop.
+	// Inline runs the whole data plane on the reader and loop
+	// goroutines: envelopes decode on the reader and enter the loop one
+	// at a time, and WriteToUDP runs synchronously on the protocol loop.
 	Inline bool
-	// DecodeWorkers is the decode pool size (default min(4, NumCPU)).
-	// Datagrams partition across workers by source address, so all
-	// fragments of one message reassemble on one worker and per-source
-	// arrival order is preserved.
-	DecodeWorkers int
-	// SendWriters is the number of writer goroutines (default 2). Each
-	// writer drains its own send-ring shard and peers map to shards by
-	// address hash, preserving per-peer datagram order.
-	SendWriters int
-	// SendRingSize bounds the send rings' total capacity across shards
-	// (default 4096 datagrams). When a destination's shard is full the
-	// datagram is dropped and counted in
-	// rtnet_send_ring_overflow_total — explicit backpressure instead of
-	// silently blocking the protocol loop.
-	SendRingSize int
 }
 
 const (
-	defaultSendRing = 4096
-	defaultWriters  = 2
+	// maxDecodeWorkers caps the decode pool, which is otherwise one
+	// worker per CPU. Datagrams partition across workers by source
+	// address, so all fragments of one message reassemble on one worker
+	// and per-source arrival order is preserved.
+	maxDecodeWorkers = 4
+	// sendWriters is the number of writer goroutines. Each drains its
+	// own send-ring shard and peers map to shards by address hash,
+	// preserving per-peer datagram order.
+	sendWriters = 2
+	// sendRingSize bounds the send rings' total capacity across shards,
+	// in datagrams. When a destination's shard is full the datagram is
+	// dropped and counted in rtnet_send_ring_overflow_total — explicit
+	// backpressure instead of silently blocking the protocol loop.
+	sendRingSize = 4096
 	// envBatch caps how many decoded envelopes one worker submits per
 	// DoBatch: large enough to amortize the inbox lock and wakeup over
 	// a burst, small enough to keep delivery latency flat.
@@ -127,28 +121,6 @@ const (
 	// buffer, which is the component sized to absorb bursts.
 	rxQueueLen = 512
 )
-
-func (pc PipelineConfig) resolved() PipelineConfig {
-	if pc.Inline {
-		return PipelineConfig{Inline: true}
-	}
-	if pc.DecodeWorkers <= 0 {
-		pc.DecodeWorkers = runtime.NumCPU()
-		if pc.DecodeWorkers > 4 {
-			pc.DecodeWorkers = 4
-		}
-		if pc.DecodeWorkers < 1 {
-			pc.DecodeWorkers = 1
-		}
-	}
-	if pc.SendWriters <= 0 {
-		pc.SendWriters = defaultWriters
-	}
-	if pc.SendRingSize <= 0 {
-		pc.SendRingSize = defaultSendRing
-	}
-	return pc
-}
 
 // rxDatagram is one received datagram handed from the reader to a
 // decode worker. data is heap-owned by the receiver chain (the reader
@@ -409,18 +381,16 @@ func (t *Transport) SetHandler(h netsim.Handler) { t.handler = h }
 // Start launches the data plane: the UDP reader, and — unless the
 // pipeline is disabled — the decode pool and the send-ring writers.
 func (t *Transport) Start() {
-	t.pc = t.pc.resolved()
 	if !t.pc.Inline {
-		ringSize := (t.pc.SendRingSize + t.pc.SendWriters - 1) / t.pc.SendWriters
-		t.sendQs = make([]chan sendReq, t.pc.SendWriters)
+		t.sendQs = make([]chan sendReq, sendWriters)
 		for i := range t.sendQs {
-			t.sendQs[i] = make(chan sendReq, ringSize)
+			t.sendQs[i] = make(chan sendReq, sendRingSize/sendWriters)
 		}
 		for _, q := range t.sendQs {
 			t.writerWG.Add(1)
 			go t.writeLoop(q)
 		}
-		t.workers = make([]*decodeWorker, t.pc.DecodeWorkers)
+		t.workers = make([]*decodeWorker, min(maxDecodeWorkers, runtime.NumCPU()))
 		for i := range t.workers {
 			t.workers[i] = &decodeWorker{ch: make(chan rxDatagram, rxQueueLen)}
 		}
@@ -764,9 +734,13 @@ func (t *Transport) readLoop() {
 			}
 		}()
 	}
+	// The inline data plane has no workers: the reader reassembles and
+	// decodes itself and submits each envelope as a batch of one.
 	var reasm *reassembler
+	var envs []envelope
 	if len(t.workers) == 0 {
 		reasm = newReassembler()
+		envs = make([]envelope, 0, 1)
 	}
 	buf := make([]byte, 256*1024)
 	nw := uint32(len(t.workers))
@@ -786,35 +760,17 @@ func (t *Transport) readLoop() {
 		// Copy out of the reusable read buffer; everything downstream
 		// (reassembly, decoded messages via aliasing readers) owns this
 		// slice.
-		data := make([]byte, n)
-		copy(data, buf[:n])
+		d := rxDatagram{from: from, data: make([]byte, n)}
+		copy(d.data, buf[:n])
 		if nw == 0 {
-			t.rxInline(reasm, from, data)
+			envs = t.decodeInto(envs[:0], reasm, d)
+			t.d.doEnvBatch(t, envs)
 			continue
 		}
 		w := t.workers[apHash(from)%nw]
-		w.ch <- rxDatagram{from: from, data: data}
+		w.ch <- d
 		t.ins.decodeQueueDepth.Set(int64(len(w.ch)))
 	}
-}
-
-// rxInline is the historical single-goroutine receive path: reassemble
-// and decode on the reader, enter the loop one packet at a time.
-func (t *Transport) rxInline(reasm *reassembler, from netip.AddrPort, data []byte) {
-	data, err := reasm.add(from, data)
-	if err != nil {
-		t.ins.dgramsMalformed.Inc()
-		return
-	}
-	if data == nil {
-		return // more chunks to come
-	}
-	env, err := decodeEnvelope(data)
-	if err != nil {
-		t.ins.dgramsMalformed.Inc()
-		return
-	}
-	t.d.doEnv(t, env)
 }
 
 // decodeLoop is one decode worker: reassemble and decode the datagrams
