@@ -1,9 +1,10 @@
 package plwg
 
-// Ablation benchmarks for the design choices called out in DESIGN.md §5.
-// Each ablation flips one design decision and reports the same headline
-// metric as the main experiment, so the contribution of the decision is
-// directly visible in `go test -bench=Ablation`.
+// Ablation benchmarks for the design choices called out in DESIGN.md §5
+// that are real settings (the network model, the delivery order, the
+// Figure 1 policy parameters). Each reports the same headline metric as
+// the main experiment, so the contribution of the choice is directly
+// visible in `go test -bench=Ablation`.
 
 import (
 	"testing"
@@ -13,36 +14,6 @@ import (
 	"plwg/internal/netsim"
 	"plwg/internal/vsync"
 )
-
-// BenchmarkAckPolicyAblation compares the two stability schemes of the
-// vsync layer: one acknowledgement frame per delivered message
-// (Horus-style, the default — and the source of the static
-// configuration's interference tax) versus periodic cumulative
-// acknowledgement vectors.
-func BenchmarkAckPolicyAblation(b *testing.B) {
-	policies := []struct {
-		name string
-		pol  vsync.AckPolicy
-	}{
-		{"per-message", vsync.AckPerMessage},
-		{"periodic", vsync.AckPeriodic},
-	}
-	for _, mode := range []bench.Mode{bench.StaticLWG, bench.DynamicLWG} {
-		for _, p := range policies {
-			b.Run(mode.String()+"/"+p.name, func(b *testing.B) {
-				var last bench.LatencyResult
-				for i := 0; i < b.N; i++ {
-					last = bench.RunLatencyWith(mode, 8, int64(i+1), benchDurations(),
-						bench.Options{AckPolicy: p.pol})
-					if !last.Converged {
-						b.Fatal("run did not converge")
-					}
-				}
-				b.ReportMetric(last.MeanMs, "latency-ms")
-			})
-		}
-	}
-}
 
 // BenchmarkBusVsPointToPoint ablates the shared-medium assumption: on
 // independent point-to-point links the static configuration's
@@ -99,50 +70,6 @@ func BenchmarkOrderingAblation(b *testing.B) {
 				}
 			}
 			b.ReportMetric(last.MeanMs, "latency-ms")
-		})
-	}
-}
-
-// BenchmarkReconcileRuleAblation compares the Section 6.2 rule ("switch
-// to the HIGHEST heavy-weight group identifier") with its mirror image.
-// Any agreed total order reconciles correctly; the metric is
-// heal-to-convergence time for a LWG created independently in two
-// partitions.
-func BenchmarkReconcileRuleAblation(b *testing.B) {
-	rules := []struct {
-		name   string
-		lowest bool
-	}{
-		{"highest-gid", false},
-		{"lowest-gid", true},
-	}
-	for _, r := range rules {
-		b.Run(r.name, func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				cfg := Config{Nodes: 8, NameServers: []int{0, 4}, Seed: int64(i + 1)}
-				cfg.Service.ReconcileToLowest = r.lowest
-				c, err := NewCluster(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.Partition([]int{0, 1, 2, 3}, []int{4, 5, 6, 7})
-				gA, _ := c.Process(1).Join("a")
-				gB, _ := c.Process(5).Join("a")
-				c.Run(4 * time.Second)
-				healAt := c.Now()
-				c.Heal()
-				ok := c.RunUntil(func() bool {
-					vA, okA := gA.View()
-					vB, okB := gB.View()
-					return okA && okB && vA.ID == vB.ID && len(vA.Members) == 2
-				}, 50*time.Millisecond, 30*time.Second)
-				if !ok {
-					b.Fatalf("rule %s never converged", r.name)
-				}
-				ms = float64(c.Now()-healAt) / float64(time.Millisecond)
-			}
-			b.ReportMetric(ms, "heal-to-converged-ms")
 		})
 	}
 }

@@ -4,9 +4,9 @@
 // service — on the simulated 10 Mbps shared Ethernet and measures
 // data-transfer latency, throughput and crash-recovery time.
 //
-// It also runs the fig-scale sweep: the naming service's anti-entropy
-// cost as the number of light-weight groups grows, comparing the
-// digest/delta protocol against the full-database push baseline.
+// It also runs the fig-scale sweep: what the naming service's
+// digest/delta anti-entropy costs per round, and how long a heal takes to
+// converge, as the number of light-weight groups grows.
 //
 // Everything here runs on the virtual clock, so every number is exact
 // per seed. Wall-clock measurement (the real-UDP data plane, the codecs,

@@ -131,8 +131,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	rtOpts := explore.RTOptions{Faults: *faults, Scale: *rtScale}
-	if *nodes < 2 {
-		return fmt.Errorf("-nodes must be at least 2 (got %d)", *nodes)
+	if *nodes < 2 || *nodes > explore.MaxNodes {
+		// Above MaxNodes a printed reproducer would not parse back.
+		return fmt.Errorf("-nodes must be between 2 and %d (got %d)", explore.MaxNodes, *nodes)
 	}
 	if *lwgs < 1 {
 		return fmt.Errorf("-lwgs must be at least 1 (got %d)", *lwgs)

@@ -138,5 +138,5 @@ func run() error {
 
 func byKind(m map[string]int64) string {
 	return fmt.Sprintf("data=%d ack=%d heartbeat=%d flush=%d naming=%d",
-		m["data"], m["ack"], m["heartbeat"], m["flush"], m["naming"]+m["naming-sync"])
+		m["data"], m["ack"], m["heartbeat"], m["flush"], m["naming"]+m["naming-digest"]+m["naming-delta"])
 }

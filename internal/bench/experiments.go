@@ -117,8 +117,7 @@ func RunThroughput(mode Mode, n int, seed int64, d Durations) ThroughputResult {
 	return RunThroughputWith(mode, n, seed, d, Options{})
 }
 
-// RunThroughputWith is RunThroughput with harness overrides (ablations,
-// e.g. DisableBatching for the batched-vs-unbatched A/B).
+// RunThroughputWith is RunThroughput with harness overrides.
 func RunThroughputWith(mode Mode, n int, seed int64, d Durations, opts Options) ThroughputResult {
 	h := NewHarnessWith(mode, workload.Fig2Topology(n), seed, opts)
 	if !h.Setup(d.SetupMax) {

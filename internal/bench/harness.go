@@ -109,8 +109,9 @@ type benchPayload struct {
 // WireSize implements vsync.Payload.
 func (p benchPayload) WireSize() int { return p.Size }
 
-// Options are optional harness overrides, used by the ablation
-// benchmarks.
+// Options are optional harness overrides: instrumentation for the
+// observability records, the delivery order and the network model for
+// the two remaining ablation benchmarks.
 type Options struct {
 	// Tracer records protocol events (a *trace.Recorder for analysis
 	// runs, a *trace.Ring for overhead-representative ones).
@@ -119,14 +120,10 @@ type Options struct {
 	// (the registry is shared across the cluster, so counters aggregate
 	// cluster-wide); nil disables it.
 	Metrics *metrics.Registry
-	// AckPolicy overrides the stability scheme of the vsync layer.
-	AckPolicy vsync.AckPolicy
 	// Ordering overrides the multicast delivery order.
 	Ordering vsync.OrderingMode
 	// Net overrides the network model.
 	Net *netsim.Params
-	// DisableBatching turns off LWG message packing (A/B runs).
-	DisableBatching bool
 }
 
 // NewHarness builds the configuration over the topology. Call Setup to
@@ -184,9 +181,6 @@ func (h *Harness) buildNoLWG() {
 	h.stacks = make(map[ids.ProcessID]*vsync.Stack)
 	cfg := vsync.DefaultConfig()
 	cfg.AutoStopOk = true
-	if h.opts.AckPolicy != 0 {
-		cfg.AckPolicy = h.opts.AckPolicy
-	}
 	if h.opts.Ordering != 0 {
 		cfg.Ordering = h.opts.Ordering
 	}
@@ -228,7 +222,6 @@ func (h *Harness) buildLWG(static bool) {
 	h.eps = make(map[ids.ProcessID]*core.Endpoint)
 	serverPids := []ids.ProcessID{0}
 	svcCfg := core.DefaultConfig()
-	svcCfg.DisableBatching = h.opts.DisableBatching
 	if static {
 		svcCfg.PolicyInterval = 24 * time.Hour // mapping is frozen
 	} else {
@@ -243,7 +236,7 @@ func (h *Harness) buildLWG(static bool) {
 			PID:     pid,
 			Servers: serverPids,
 			Config:  svcCfg,
-			Vsync:   vsync.Config{AckPolicy: h.opts.AckPolicy, Ordering: h.opts.Ordering},
+			Vsync:   vsync.Config{Ordering: h.opts.Ordering},
 			Upcalls: up,
 			Tracer:  h.tracer(),
 			Metrics: h.opts.Metrics,

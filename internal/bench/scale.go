@@ -15,22 +15,19 @@ import (
 // anti-entropy scales with the number of light-weight groups — the
 // regime the LWG idea exists for (thousands of cheap groups amortized
 // over few heavy-weight groups). It runs a fixed four-server replica set
-// carrying a sweep of LWG counts and compares the legacy full-database
-// push-pull against the digest/delta protocol on three axes: steady-state
-// sync bytes per round, reconcile work per round, and post-heal
-// convergence time.
+// carrying a sweep of LWG counts and reports the digest/delta protocol on
+// three axes: steady-state sync bytes per round, reconcile work per
+// round, and post-heal convergence time. The point of the sweep is that
+// the steady-state columns stay flat as the database grows.
 //
 // Unlike the Figure 2 experiments the servers carry the database alone
 // (no core endpoints): at 4096 groups the interesting cost IS the
-// reconciliation traffic, and the paper's 10 Mbps bus would saturate on
-// full-push payloads alone, so the sweep models a 100 Mbps switched LAN.
+// reconciliation traffic. The sweep models a 100 Mbps switched LAN.
 
 // ScaleServers is the fixed replica-set size of the fig-scale sweep.
 const ScaleServers = 4
 
-// scaleNetParams returns the fig-scale network model: a 100 Mbps LAN
-// (the paper's 10 Mbps shared Ethernet cannot even carry the full-push
-// baseline at thousands of groups).
+// scaleNetParams returns the fig-scale network model: a 100 Mbps LAN.
 func scaleNetParams() netsim.Params {
 	p := netsim.DefaultParams()
 	p.BandwidthBps = 100e6
@@ -68,7 +65,7 @@ type scaleWorld struct {
 	servers []*naming.Server
 }
 
-func newScaleWorld(fullPush bool, seed int64) *scaleWorld {
+func newScaleWorld(seed int64) *scaleWorld {
 	s := sim.New(seed)
 	nw := netsim.New(s, scaleNetParams())
 	w := &scaleWorld{s: s, nw: nw}
@@ -76,7 +73,7 @@ func newScaleWorld(fullPush bool, seed int64) *scaleWorld {
 	for i := range pids {
 		pids[i] = ids.ProcessID(i)
 	}
-	cfg := naming.Config{MappingTTL: -1, FullPush: fullPush}
+	cfg := naming.Config{MappingTTL: -1}
 	for _, pid := range pids {
 		srv := naming.NewServer(naming.ServerParams{
 			Net: nw, PID: pid, Peers: pids, Config: cfg,
@@ -121,20 +118,20 @@ func (w *scaleWorld) runUntilConverged(max time.Duration) (time.Duration, bool) 
 
 // syncTraffic sums the anti-entropy bytes and frames of a stats window.
 func syncTraffic(st netsim.Stats) (bytes, frames int64) {
-	for _, kind := range []string{"naming-sync", "naming-digest", "naming-delta"} {
+	for _, kind := range []string{"naming-digest", "naming-delta"} {
 		bytes += st.BytesByKind[kind]
 		frames += st.ByKind[kind]
 	}
 	return bytes, frames
 }
 
-// RunScale measures one (protocol, group-count) cell: seed the database,
+// RunScale measures one group-count cell: seed the database,
 // converge, measure a quiescent steady-state window, then partition the
 // replica set, diverge both sides, heal, and time re-convergence.
 // Durations map as SetupMax → initial convergence bound, Measure →
 // steady-state window, RecoveryMax → post-heal convergence bound.
-func RunScale(fullPush bool, groups int, seed int64, d Durations) ScaleResult {
-	w := newScaleWorld(fullPush, seed)
+func RunScale(groups int, seed int64, d Durations) ScaleResult {
+	w := newScaleWorld(seed)
 	res := ScaleResult{Groups: groups}
 
 	// Seed every mapping at server 0; anti-entropy spreads them.
@@ -206,39 +203,27 @@ func RunScale(fullPush bool, groups int, seed int64, d Durations) ScaleResult {
 	return res
 }
 
-// scaleModeName labels the two compared protocols.
-func scaleModeName(fullPush bool) string {
-	if fullPush {
-		return "full-push"
-	}
-	return "digest-delta"
-}
+// scaleMode is the mode label of the fig-scale records.
+const scaleMode = "digest-delta"
 
 // FigScale renders the scaling sweep: for each LWG count, steady-state
-// anti-entropy bytes per round under both protocols, the reduction
-// factor, post-heal convergence times, and the host wall clock spent
-// simulating each steady window (the one column that is not exact per
-// seed, which is why FigScaleRecords leaves it out).
+// anti-entropy bytes and frames per round, post-heal convergence time,
+// and the host wall clock spent simulating the steady window (the one
+// column that is not exact per seed, which is why FigScaleRecords leaves
+// it out).
 func FigScale(w io.Writer, groups []int, seed int64, d Durations) {
 	fmt.Fprintf(w, "fig-scale — naming anti-entropy vs LWG count (%d servers, 100 Mbps LAN)\n",
 		ScaleServers)
-	fmt.Fprintf(w, "%7s %15s %15s %9s %12s %12s %12s %12s\n",
-		"groups", "full B/round", "delta B/round", "reduction", "full heal", "delta heal",
-		"full wall", "delta wall")
+	fmt.Fprintf(w, "%7s %12s %14s %10s %12s\n",
+		"groups", "B/round", "frames/round", "heal", "steady wall")
 	for _, g := range groups {
-		full := RunScale(true, g, seed, d)
-		delta := RunScale(false, g, seed, d)
-		if !full.Converged || !delta.Converged {
-			fmt.Fprintf(w, "%7d %15s\n", g, "n/a")
+		r := RunScale(g, seed, d)
+		if !r.Converged {
+			fmt.Fprintf(w, "%7d %12s\n", g, "n/a")
 			continue
 		}
-		reduction := 0.0
-		if delta.SyncBytesPerRound > 0 {
-			reduction = full.SyncBytesPerRound / delta.SyncBytesPerRound
-		}
-		fmt.Fprintf(w, "%7d %15.0f %15.1f %8.0fx %10.0fms %10.0fms %10.1fms %10.1fms\n",
-			g, full.SyncBytesPerRound, delta.SyncBytesPerRound, reduction,
-			full.HealMs, delta.HealMs, full.SteadyWallMs, delta.SteadyWallMs)
+		fmt.Fprintf(w, "%7d %12.1f %14.2f %8.0fms %10.1fms\n",
+			g, r.SyncBytesPerRound, r.SyncFramesPerRound, r.HealMs, r.SteadyWallMs)
 	}
 }
 
@@ -246,21 +231,18 @@ func FigScale(w io.Writer, groups []int, seed int64, d Durations) {
 func FigScaleRecords(w io.Writer, groups []int, seed int64, d Durations) []Record {
 	var recs []Record
 	for _, g := range groups {
-		for _, fullPush := range []bool{true, false} {
-			mode := scaleModeName(fullPush)
-			fmt.Fprintf(w, "  fig-scale groups=%d %s...\n", g, mode)
-			r := RunScale(fullPush, g, seed, d)
-			if !r.Converged {
-				continue
-			}
-			recs = append(recs,
-				Record{"fig-scale", mode, g, "sync_bytes_per_round", r.SyncBytesPerRound},
-				Record{"fig-scale", mode, g, "sync_frames_per_round", r.SyncFramesPerRound},
-				Record{"fig-scale", mode, g, "merge_entries_per_round", r.MergeEntriesPerRound},
-				Record{"fig-scale", mode, g, "conflict_checks_per_round", r.ConflictChecksPerRound},
-				Record{"fig-scale", mode, g, "setup_ms", r.SetupMs},
-				Record{"fig-scale", mode, g, "heal_ms", r.HealMs})
+		fmt.Fprintf(w, "  fig-scale groups=%d...\n", g)
+		r := RunScale(g, seed, d)
+		if !r.Converged {
+			continue
 		}
+		recs = append(recs,
+			Record{"fig-scale", scaleMode, g, "sync_bytes_per_round", r.SyncBytesPerRound},
+			Record{"fig-scale", scaleMode, g, "sync_frames_per_round", r.SyncFramesPerRound},
+			Record{"fig-scale", scaleMode, g, "merge_entries_per_round", r.MergeEntriesPerRound},
+			Record{"fig-scale", scaleMode, g, "conflict_checks_per_round", r.ConflictChecksPerRound},
+			Record{"fig-scale", scaleMode, g, "setup_ms", r.SetupMs},
+			Record{"fig-scale", scaleMode, g, "heal_ms", r.HealMs})
 	}
 	return recs
 }

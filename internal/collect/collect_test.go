@@ -3,9 +3,11 @@ package collect
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -237,9 +239,39 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 		`x{lwg=unquoted} 1`,
 		`x{lwg="v"} notanumber`,
 		`justaname`,
+		`{lwg="v"} 1`, // no metric name
 	} {
 		if _, err := ParseText(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseText(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseText feeds ParseText arbitrary /metrics bodies (whatever a
+// scraped endpoint answers): it must not panic, and every sample it
+// returns re-renders — the way the collector's own exposition renders
+// it — to a line that parses back to the same sample.
+func FuzzParseText(f *testing.F) {
+	f.Add("# TYPE lwg_sends_total counter\nlwg_sends_total 5\nlwg_oneway_latency_count{lwg=\"a\"} 3\n")
+	f.Add(`x{lwg="a\"b\\c\nd",node="n1"} -1.5e-7` + "\n")
+	f.Add(`x{k="1",k="2",,j="3"}0x1p-2`)
+	f.Add("{} 1\n")
+	f.Add("up NaN\r\ndown +Inf")
+	f.Fuzz(func(t *testing.T, body string) {
+		samples, err := ParseText(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		render := func(s Sample) string { return fmt.Sprintf("%s%s %v", s.Name, s.labelString(), s.Value) }
+		for _, s := range samples {
+			line := render(s)
+			again, err := ParseText(strings.NewReader(line))
+			if err != nil || len(again) != 1 {
+				t.Fatalf("sample %+v rendered as %q parses to %+v, %v", s, line, again, err)
+			}
+			if got := render(again[0]); got != line || again[0].Name != s.Name || !reflect.DeepEqual(again[0].Labels, s.Labels) {
+				t.Fatalf("sample %+v rendered as %q parses back as %+v", s, line, again[0])
+			}
+		}
+	})
 }

@@ -70,12 +70,14 @@ func ParseText(r io.Reader) ([]Sample, error) {
 func parseSampleLine(line string) (Sample, error) {
 	var s Sample
 	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
+	i := strings.IndexAny(rest, "{ ")
+	if i < 0 {
 		return s, fmt.Errorf("no value: %q", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
 	}
+	if i == 0 {
+		return s, fmt.Errorf("no metric name: %q", line)
+	}
+	s.Name, rest = rest[:i], rest[i:]
 	if strings.HasPrefix(rest, "{") {
 		labels, tail, err := parseLabels(rest)
 		if err != nil {
@@ -124,7 +126,8 @@ func parseLabels(in string) ([]metrics.Label, string, error) {
 		labels = append(labels, metrics.L(key, value))
 		rest = tail
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
+	// Stable: a repeated key keeps its values in the order they arrived.
+	sort.SliceStable(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
 	return labels, rest, nil
 }
 

@@ -79,11 +79,6 @@ func (e *Endpoint) flushBatch(st *hwgState) {
 // and counts it — only the copy that reaches the wire counts as sent.
 func (e *Endpoint) traceSend(msg *lwgData) {
 	e.ins.sends.Inc()
-	if e.reg != nil {
-		if m := e.lwgs[msg.LWG]; m != nil {
-			m.cSends.Inc()
-		}
-	}
 	e.traceEvent(trace.Event{
 		What:  trace.LWGSend,
 		Text:  fmt.Sprintf("%s: %q in %v", msg.LWG, msg.Data, msg.View),

@@ -91,11 +91,6 @@ type Config struct {
 	// ShrinkAfter is how long a process tolerates membership of a HWG
 	// with no local LWG mapped on it before leaving (the shrink rule).
 	ShrinkAfter time.Duration
-	// ReconcileToLowest inverts the Section 6.2 rule: conflicting
-	// mappings reconcile onto the LOWEST heavy-weight group identifier
-	// instead of the highest. Any total order works as long as everyone
-	// applies the same one; this is an ablation switch.
-	ReconcileToLowest bool
 	// MappingRefreshInterval is how often a LWG view's coordinator
 	// refreshes its mapping lease in the naming service. Must be well
 	// below naming.Config.MappingTTL.
@@ -109,9 +104,6 @@ type Config struct {
 	// companions before the batch is flushed — a fraction of the bus
 	// round-trip, so batching never dominates delivery latency.
 	MaxBatchDelay time.Duration
-	// DisableBatching reverts to one HWG multicast per LWG send (the
-	// A/B switch for the packing optimization).
-	DisableBatching bool
 	// MaxPreInstall bounds the per-member buffer of data received under
 	// views not yet installed (see lwgMember.bufferPreInstall). Overflow
 	// sheds the oldest message, counted by core_preinstall_drops_total

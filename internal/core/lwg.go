@@ -84,12 +84,10 @@ type lwgMember struct {
 	// sw is coordinator-side switch state (ready-collection).
 	sw *switchRound
 
-	// Per-LWG labeled counters, resolved once at membership creation
-	// (nil with metrics disabled; nil instruments no-op).
-	cSends    *metrics.Counter
-	cDelivers *metrics.Counter
 	// hLatency is the LWG-level one-way send→deliver latency histogram,
-	// fed by wire trace contexts surviving through the HWG delivery path.
+	// fed by wire trace contexts surviving through the HWG delivery path
+	// (resolved once at membership creation; nil with metrics disabled,
+	// and a nil instrument no-ops).
 	hLatency *metrics.Histo
 }
 
@@ -124,8 +122,6 @@ func newLwgMember(e *Endpoint, id ids.LWGID) *lwgMember {
 		pendingJoiners:   make(map[ids.ProcessID]bool),
 		pendingLeavers:   make(map[ids.ProcessID]bool),
 		pendingRejoiners: make(map[ids.ProcessID]bool),
-		cSends:           e.reg.Counter("lwg_sends_total", metrics.L("lwg", string(id))),
-		cDelivers:        e.reg.Counter("lwg_deliveries_total", metrics.L("lwg", string(id))),
 		hLatency:         e.reg.Histogram("lwg_oneway_latency", metrics.L("lwg", string(id))),
 	}
 }
@@ -229,11 +225,6 @@ func (m *lwgMember) send(data []byte) {
 		return
 	}
 	msg := &lwgData{LWG: m.id, View: m.view.ID, Data: data}
-	if m.e.cfg.DisableBatching {
-		m.e.traceSend(msg)
-		_ = m.e.hwg.Send(m.hwg, msg)
-		return
-	}
 	// Batched payloads are traced as sent when the batch flushes — a
 	// requeue can still re-stamp them under a later view before then.
 	m.e.enqueueBatch(st, msg)

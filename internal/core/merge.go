@@ -204,7 +204,6 @@ func (m *lwgMember) deliverData(src ids.ProcessID, msg *lwgData) {
 	e := m.e
 	m.seenTraffic = true
 	e.ins.deliveries.Inc()
-	m.cDelivers.Inc()
 	e.traceEvent(trace.Event{
 		What:  trace.LWGDeliver,
 		Text:  fmt.Sprintf("%s: %q from %v in %v", msg.LWG, msg.Data, src, msg.View),
@@ -862,23 +861,9 @@ func (e *Endpoint) handleNamingCallback(_ netsim.NodeID, _ netsim.Addr, msg nets
 		return
 	}
 	target := naming.PreferredHWG(mm.Mappings)
-	if e.cfg.ReconcileToLowest {
-		target = lowestHWG(mm.Mappings)
-	}
 	if target == ids.NoHWG || target == m.hwg {
 		return
 	}
 	e.trace("reconcile", "%s: MULTIPLE-MAPPINGS, switching %v -> %v", mm.LWG, m.hwg, target)
 	m.startSwitch(target, false)
-}
-
-// lowestHWG is the ablation counterpart of naming.PreferredHWG.
-func lowestHWG(entries []naming.Entry) ids.HWGID {
-	var best ids.HWGID
-	for _, e := range entries {
-		if best == ids.NoHWG || e.HWG < best {
-			best = e.HWG
-		}
-	}
-	return best
 }

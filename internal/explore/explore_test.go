@@ -44,11 +44,35 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"nonsense v1\nnodes 3\n",
 		"schedule v1\nnodes 3\nop 100ms fly 1 a\n",
 		"schedule v1\nnodes 3\nop 100ms join 1\n",
-		"schedule v1\nlwgs a\n", // nodes missing
+		"schedule v1\nlwgs a\n",           // nodes missing
+		"schedule v1\nnodes 2000000000\n", // -replay would build that many endpoints
+		"schedule v1\nnodes 65\n",
+		"schedule v1\nnodes 0\n",
+		"schedule v1\nnodes 3\nop 100ms join -1 a\n",
+		"schedule v1\nnodes 3\nop 100ms crash -2\n",
+		"schedule v1\nnodes 3\nop 100ms part -1\n",
+		"schedule v1\nnodes 3\nfault -1 2\n",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse accepted %q", bad)
 		}
+	}
+}
+
+// TestParseLongLineKeepsTheRest: a line longer than any reader's token
+// limit (bufio.Scanner's is 64 KiB) must not end the schedule early — a
+// pinned reproducer would "replay clean" as the shorter schedule before
+// it.
+func TestParseLongLineKeepsTheRest(t *testing.T) {
+	text := "schedule v1\nnodes 3\nlwgs a\nop 100ms join 1 a\n" +
+		"origin " + strings.Repeat("x", 70_000) + "\n" +
+		"op 100ms join 2 a\nop 100ms send 1 a\n"
+	s, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Ops) != 3 || len(s.Origin) != 70_000 {
+		t.Fatalf("parsed %d ops and %d bytes of origin, want 3 and 70000", len(s.Ops), len(s.Origin))
 	}
 }
 

@@ -12,7 +12,6 @@
 package explore
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -104,6 +103,11 @@ type Schedule struct {
 	// schedule.
 	Origin string
 }
+
+// MaxNodes bounds the cluster size a schedule file may name: a runner
+// builds one endpoint per node. The default sweep uses 8 nodes and the
+// largest fixed scope anywhere (the benchmark's sim-churn) 12.
+const MaxNodes = 64
 
 // Servers returns the naming-server placement for the schedule.
 func (s Schedule) Servers() []ids.ProcessID {
@@ -206,7 +210,9 @@ func Encode(s Schedule) string {
 	for i, l := range s.LWGs {
 		names[i] = string(l)
 	}
-	fmt.Fprintf(&b, "lwgs %s\n", strings.Join(names, ","))
+	if len(names) > 0 {
+		fmt.Fprintf(&b, "lwgs %s\n", strings.Join(names, ","))
+	}
 	fmt.Fprintf(&b, "quiesce %v\n", s.Quiesce)
 	if s.Origin != "" {
 		fmt.Fprintf(&b, "origin %s\n", s.Origin)
@@ -224,18 +230,19 @@ func Encode(s Schedule) string {
 }
 
 // Parse reads a schedule in the Encode format. Blank lines and lines
-// starting with '#' are ignored.
+// starting with '#' are ignored. Lines may be of any length: a reader
+// with a token limit would stop at an over-long line and hand back the
+// shorter schedule before it as if it were the whole file.
 func Parse(text string) (Schedule, error) {
 	var s Schedule
-	sc := bufio.NewScanner(strings.NewReader(text))
 	line := 0
 	sawHeader := false
 	fail := func(msg string) (Schedule, error) {
 		return Schedule{}, fmt.Errorf("schedule line %d: %s", line, msg)
 	}
-	for sc.Scan() {
+	for _, cur := range strings.Split(text, "\n") {
 		line++
-		fields := strings.Fields(sc.Text())
+		fields := strings.Fields(cur)
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
@@ -255,9 +262,12 @@ func Parse(text string) (Schedule, error) {
 			if err != nil {
 				return fail(err.Error())
 			}
-			if fields[0] == "seed" {
+			switch {
+			case fields[0] == "seed":
 				s.Seed = n
-			} else {
+			case n < 1 || n > MaxNodes:
+				return fail(fmt.Sprintf("nodes must be between 1 and %d", MaxNodes))
+			default:
 				s.Nodes = int(n)
 			}
 		case "lwgs":
@@ -294,14 +304,18 @@ func Parse(text string) (Schedule, error) {
 			}
 			node, err1 := strconv.Atoi(fields[1])
 			drop, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return fail("fault wants two integers")
+			if err1 != nil || err2 != nil || node < 0 || drop < 0 {
+				return fail("fault wants two non-negative integers")
 			}
 			s.Fault = Fault{Node: ids.ProcessID(node), Drop: drop}
 		case "op":
 			op, err := parseOp(fields[1:])
 			if err != nil {
 				return fail(err.Error())
+			}
+			if op.P < 0 || op.Cut < 0 {
+				// Past the cluster size is a run-time no-op; negative names nothing.
+				return fail("negative process id or cut")
 			}
 			s.Ops = append(s.Ops, op)
 		default:

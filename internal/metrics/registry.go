@@ -322,12 +322,12 @@ func (r *Registry) Snapshot() []Sample {
 }
 
 // Totals gives one value per counter family: the sum across its labels,
-// or — when the family also has an unlabelled entry — that entry alone.
-// A layer that counts an event once in total and once per group (core's
-// lwg_sends_total, lwg_deliveries_total) keeps the total unlabelled;
-// adding its labelled twins on top would count every event twice. The
-// aggregate is what the benchmark baseline records: bounded in size no
-// matter how many per-group label values the run created.
+// or — when the family also has an unlabelled entry — that entry alone:
+// a layer that counts an event once in total and once per label keeps
+// the total unlabelled, and adding the labelled twins on top would count
+// every event twice. The aggregate is what the benchmark baseline
+// records: bounded in size no matter how many per-group label values the
+// run created.
 func (r *Registry) Totals() map[string]int64 {
 	if r == nil {
 		return nil
@@ -431,9 +431,11 @@ func EscapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
+	// Byte by byte: ranging over runes would rewrite a byte that is not
+	// valid UTF-8 (a group name is any string) as U+FFFD.
 	var b strings.Builder
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -441,7 +443,7 @@ func EscapeLabelValue(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

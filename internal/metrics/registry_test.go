@@ -116,8 +116,8 @@ func TestRegistrySnapshotAndTotals(t *testing.T) {
 }
 
 // TestTotalsUnlabelledEntryIsTheTotal: a family holding both an
-// unlabelled aggregate and per-label twins of the same events (core's
-// lwg_sends_total) totals to the aggregate, not to twice it.
+// unlabelled aggregate and per-label twins of the same events totals to
+// the aggregate, not to twice it.
 func TestTotalsUnlabelledEntryIsTheTotal(t *testing.T) {
 	type inc struct {
 		labels []Label

@@ -13,7 +13,7 @@ const (
 	wireMsgDelta
 	wireMsgRequest
 	wireMsgReply
-	wireMsgSync
+	wireRetiredMsgSync // the full-database push, deleted in PR 23
 	wireMsgMultipleMappings
 )
 
@@ -131,17 +131,6 @@ func (m *msgReply) MarshalWire(b *wire.Buffer) bool {
 }
 
 // WireID implements wire.Marshaler.
-func (m *msgSync) WireID() byte { return wireMsgSync }
-
-// MarshalWire implements wire.Marshaler.
-func (m *msgSync) MarshalWire(b *wire.Buffer) bool {
-	b.PID(m.From)
-	b.Bool(m.Reply)
-	putEntries(b, m.Entries)
-	return true
-}
-
-// WireID implements wire.Marshaler.
 func (m *MsgMultipleMappings) WireID() byte { return wireMsgMultipleMappings }
 
 // MarshalWire implements wire.Marshaler.
@@ -152,6 +141,7 @@ func (m *MsgMultipleMappings) MarshalWire(b *wire.Buffer) bool {
 }
 
 func init() {
+	wire.Retire(wireRetiredMsgSync)
 	wire.Register(wireMsgDigest, func(r *wire.Reader) (wire.Marshaler, error) {
 		m := &msgDigest{From: r.PID()}
 		m.Version = r.Byte()
@@ -190,12 +180,6 @@ func init() {
 	})
 	wire.Register(wireMsgReply, func(r *wire.Reader) (wire.Marshaler, error) {
 		m := &msgReply{ReqID: r.Uint64()}
-		m.Entries = getEntries(r)
-		return m, r.Err()
-	})
-	wire.Register(wireMsgSync, func(r *wire.Reader) (wire.Marshaler, error) {
-		m := &msgSync{From: r.PID()}
-		m.Reply = r.Bool()
 		m.Entries = getEntries(r)
 		return m, r.Err()
 	})

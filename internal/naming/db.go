@@ -265,8 +265,7 @@ func (db *DB) Live(lwg ids.LWGID) []Entry {
 	return out
 }
 
-// All returns every entry of every LWG, tombstones included (the
-// anti-entropy payload).
+// All returns every entry of every LWG, tombstones included.
 func (db *DB) All() []Entry {
 	var out []Entry
 	for _, m := range db.entries {

@@ -178,9 +178,6 @@ func TestDigestSyncConverges(t *testing.T) {
 	w.s.RunFor(5 * time.Second)
 	w.requireConverged()
 	st := w.nw.Stats()
-	if st.ByKind["naming-sync"] != 0 {
-		t.Fatalf("digest mode sent %d full syncs", st.ByKind["naming-sync"])
-	}
 	if st.ByKind["naming-digest"] == 0 || st.ByKind["naming-delta"] == 0 {
 		t.Fatalf("digest protocol not exercised: %v", st.ByKind)
 	}
@@ -247,25 +244,34 @@ func TestDeltaShipsOnlyChangedGroups(t *testing.T) {
 	}
 }
 
-// TestDigestVersionFallback sends a probe with an alien version and
-// checks the responder falls back to a full sync that still converges
-// both replicas.
+// TestDigestVersionFallback: there is none. A digest message with an
+// alien format version is outside input the server cannot interpret — it
+// is dropped and counted, nothing of any kind is sent back, and the
+// database is untouched.
 func TestDigestVersionFallback(t *testing.T) {
 	w := newSrvWorld(t, 2, Config{MappingTTL: -1, SyncInterval: time.Hour})
 	w.servers[0].DB().Put(Entry{LWG: "a", View: vid(1, 1), HWG: 1, Ver: 1})
 	w.servers[1].DB().Put(Entry{LWG: "b", View: vid(2, 1), HWG: 2, Ver: 1})
+	before := w.servers[1].DB().All()
 
-	// A "future" server probes pid 1: the responder cannot interpret the
-	// digest and must push its full database; pid 0's normal onSync then
-	// answers with its own, reconciling both.
-	w.nw.Unicast(0, 1, ServerPrefix, &msgDigest{From: 0, Version: 99, DBHash: 12345})
-	w.s.RunFor(time.Second)
-	w.requireConverged()
-	if got := w.servers[1].SyncStats()["full_fallback"]; got != 1 {
-		t.Fatalf("full_fallback = %d, want 1", got)
-	}
-	if st := w.nw.Stats(); st.ByKind["naming-sync"] == 0 {
-		t.Fatal("no full sync on the wire after version mismatch")
+	for _, m := range []*msgDigest{
+		{From: 0, Version: 99, DBHash: 12345},
+		{From: 0, Version: 0, Reply: true, Digests: []LWGDigest{{LWG: "zz"}}},
+	} {
+		w.nw.ResetStats()
+		w.servers[1].ResetSyncStats()
+		w.nw.Unicast(0, 1, ServerPrefix, m)
+		w.s.RunFor(time.Second)
+		if got := w.servers[1].SyncStats()["version_mismatch"]; got != 1 {
+			t.Fatalf("version %d: version_mismatch = %d, want 1", m.Version, got)
+		}
+		if st := w.nw.Stats(); st.Frames != 1 {
+			t.Fatalf("version %d: %d frames on the wire, want only the alien digest (%v)",
+				m.Version, st.Frames, st.ByKind)
+		}
+		if got := w.servers[1].DB().All(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("version %d: database changed: %v", m.Version, got)
+		}
 	}
 }
 
@@ -281,10 +287,11 @@ func TestDirtySetConflictChecks(t *testing.T) {
 		})
 	}
 	srv.ResetSyncStats()
-	// A sync reply carrying one concurrent mapping for one group.
-	srv.onSync(&msgSync{From: 1, Reply: true, Entries: []Entry{
-		{LWG: "a", View: vid(3, 50), HWG: 9, Ver: 1},
-	}})
+	// A delta reply carrying one concurrent mapping for one group.
+	srv.onDelta(&msgDelta{From: 1, Reply: true, Groups: []groupDelta{{
+		LWG:     "a",
+		Entries: []Entry{{LWG: "a", View: vid(3, 50), HWG: 9, Ver: 1}},
+	}}})
 	stats := srv.SyncStats()
 	if got := stats["conflict_checks"]; got != 1 {
 		t.Fatalf("conflict_checks = %d after single-group merge, want 1", got)

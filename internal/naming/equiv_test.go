@@ -1,14 +1,13 @@
 package naming
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"plwg/internal/ids"
 	"plwg/internal/netsim"
-	"plwg/internal/sim"
 )
 
 // nsOp is one scheduled database update in the equivalence scenario.
@@ -34,6 +33,10 @@ func genOps(seed int64, n int, servers int, span time.Duration) []nsOp {
 	return ops
 }
 
+// equivSpan is how long the equivalence scenario runs on the virtual
+// clock.
+const equivSpan = 15 * time.Second
+
 // runEquivScenario executes the schedule on a fresh 4-server world with
 // a mid-run partition and heal, then returns each server's final
 // database. The scenario is fully deterministic for a given (cfg, ops).
@@ -48,7 +51,7 @@ func runEquivScenario(t *testing.T, cfg Config, ops []nsOp) [][]Entry {
 		w.nw.SetPartitions([]netsim.NodeID{0, 1}, []netsim.NodeID{2, 3})
 	})
 	w.s.After(6*time.Second, func() { w.nw.Heal() })
-	w.s.RunFor(15 * time.Second)
+	w.s.RunFor(equivSpan)
 	out := make([][]Entry, len(w.servers))
 	for i, srv := range w.servers {
 		out[i] = srv.DB().All()
@@ -56,91 +59,51 @@ func runEquivScenario(t *testing.T, cfg Config, ops []nsOp) [][]Entry {
 	return out
 }
 
-// TestDigestEquivalentToFullPush is the equivalence oracle for the
-// digest/delta protocol: under identical random op schedules, partitions
-// and heals, digest/delta sync must converge every replica to exactly
-// the database the legacy full-push protocol produces.
-func TestDigestEquivalentToFullPush(t *testing.T) {
+// referenceDB is the specification the replicas are held to: one database
+// that took every write of the schedule directly, with no servers, no
+// network and no partition in between — and, with leases, one expiry at
+// the scenario's final clock.
+func referenceDB(ops []nsOp, ttl time.Duration) []Entry {
+	db := NewDB()
+	for _, op := range ops {
+		db.Put(op.entry)
+	}
+	db.Expire(int64(equivSpan), ttl)
+	return db.All()
+}
+
+// requireReplicasMatch fails unless every replica holds exactly want.
+func requireReplicasMatch(t *testing.T, what string, replicas [][]Entry, want []Entry) {
+	t.Helper()
+	for i, got := range replicas {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: server %d differs from the reference database\nwant: %v\ngot:  %v",
+				what, i, want, got)
+		}
+	}
+}
+
+// TestDigestEquivalentToReferenceDB is the equivalence oracle for the
+// digest/delta protocol: under random op schedules spread over four
+// servers, a partition and a heal, every replica must converge to exactly
+// the database a single DB holds after taking the same writes directly.
+func TestDigestEquivalentToReferenceDB(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
 		ops := genOps(seed, 60, 4, 9*time.Second)
-		full := runEquivScenario(t, Config{MappingTTL: -1, FullPush: true}, ops)
-		delta := runEquivScenario(t, Config{MappingTTL: -1}, ops)
-		// Both worlds internally converged…
-		for i := 1; i < len(full); i++ {
-			if !reflect.DeepEqual(full[i], full[0]) {
-				t.Fatalf("seed %d: full-push world did not converge", seed)
-			}
-			if !reflect.DeepEqual(delta[i], delta[0]) {
-				t.Fatalf("seed %d: digest world did not converge", seed)
-			}
-		}
-		// …and to the same database.
-		if !reflect.DeepEqual(delta[0], full[0]) {
-			t.Fatalf("seed %d: digest result differs from full push\nfull:  %v\ndelta: %v",
-				seed, full[0], delta[0])
-		}
+		replicas := runEquivScenario(t, Config{MappingTTL: -1}, ops)
+		requireReplicasMatch(t, fmt.Sprintf("seed %d", seed), replicas, referenceDB(ops, 0))
 	}
 }
 
 // TestDigestEquivalenceWithLeases reruns the oracle with mapping leases
-// enabled, so expiry interleaves with reconciliation in both worlds.
+// enabled, so expiry interleaves with reconciliation.
 func TestDigestEquivalenceWithLeases(t *testing.T) {
+	const ttl = 4 * time.Second
 	ops := genOps(99, 40, 4, 9*time.Second)
-	// Refreshed timestamps from randomEntry are far in the "past" of the
-	// virtual clock start, so a short TTL exercises expiry heavily.
-	cfgFull := Config{MappingTTL: 4 * time.Second, FullPush: true}
-	cfgDelta := Config{MappingTTL: 4 * time.Second}
-	full := runEquivScenario(t, cfgFull, ops)
-	delta := runEquivScenario(t, cfgDelta, ops)
-	for i := 1; i < len(full); i++ {
-		if !reflect.DeepEqual(full[i], full[0]) {
-			t.Fatalf("full-push world did not converge with leases")
-		}
-		if !reflect.DeepEqual(delta[i], delta[0]) {
-			t.Fatalf("digest world did not converge with leases")
-		}
-	}
-	if !reflect.DeepEqual(delta[0], full[0]) {
-		t.Fatalf("digest result differs from full push with leases\nfull:  %v\ndelta: %v",
-			full[0], delta[0])
-	}
-}
-
-// mixedWorld builds a cluster where some servers run the digest protocol
-// and others are pinned to full push, checking cross-mode convergence
-// (the upgrade scenario the version fallback exists for).
-func TestMixedModeConvergence(t *testing.T) {
-	s := sim.New(7)
-	nw := netsim.New(s, netsim.DefaultParams())
-	pids := []ids.ProcessID{0, 1, 2, 3}
-	var servers []*Server
-	for i, pid := range pids {
-		cfg := Config{MappingTTL: -1}
-		if i%2 == 1 {
-			cfg.FullPush = true
-		}
-		srv := NewServer(ServerParams{Net: nw, PID: pid, Peers: pids, Config: cfg})
-		mux := netsim.NewMux()
-		mux.Handle(ServerPrefix, srv.HandleMessage)
-		nw.AddNode(pid, mux.Handler())
-		srv.Start()
-		servers = append(servers, srv)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for _, srv := range servers {
-		for j := 0; j < 8; j++ {
-			srv.DB().Put(randomEntry(rng))
-		}
-	}
-	s.RunFor(6 * time.Second)
-	ref := servers[0].DB().All()
-	for i, srv := range servers[1:] {
-		if !reflect.DeepEqual(srv.DB().All(), ref) {
-			t.Fatalf("mixed-mode server %d did not converge", i+1)
-		}
-	}
+	replicas := runEquivScenario(t, Config{MappingTTL: ttl}, ops)
+	requireReplicasMatch(t, "leases", replicas, referenceDB(ops, ttl))
 }

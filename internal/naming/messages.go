@@ -75,30 +75,8 @@ func (m *msgReply) WireSize() int {
 // Kind implements netsim.Kinder.
 func (m *msgReply) Kind() string { return "naming" }
 
-// msgSync is the anti-entropy exchange: a full copy of the sender's
-// database. Reply defers a symmetric copy so one round makes both sides
-// equal (push-pull).
-type msgSync struct {
-	From    ids.ProcessID
-	Entries []Entry
-	Reply   bool
-}
-
-// WireSize implements netsim.Message.
-func (m *msgSync) WireSize() int {
-	n := 24
-	for _, e := range m.Entries {
-		n += e.wireSize()
-	}
-	return n
-}
-
-// Kind implements netsim.Kinder.
-func (m *msgSync) Kind() string { return "naming-sync" }
-
-// digestVersion identifies the digest wire format. A responder that sees
-// a different version cannot interpret the summaries and falls back to a
-// full msgSync push, so mixed-version server sets still converge.
+// digestVersion identifies the digest wire format. A server that sees a
+// different version cannot interpret the summaries and drops the message.
 const digestVersion = 1
 
 // msgDigest opens a digest/delta anti-entropy exchange. The initiating
@@ -192,7 +170,6 @@ func (m *MsgMultipleMappings) Kind() string { return "naming-cb" }
 var (
 	_ netsim.Message = (*msgRequest)(nil)
 	_ netsim.Message = (*msgReply)(nil)
-	_ netsim.Message = (*msgSync)(nil)
 	_ netsim.Message = (*msgDigest)(nil)
 	_ netsim.Message = (*msgDelta)(nil)
 	_ netsim.Message = (*MsgMultipleMappings)(nil)
@@ -223,10 +200,6 @@ type Config struct {
 	// survives before it completes with ok == false. Under sustained
 	// loss a single pass (the old behavior) fails far too eagerly.
 	RetryRounds int
-	// FullPush restores the original anti-entropy: push the whole
-	// database every round instead of the digest/delta exchange. Kept as
-	// the baseline for the fig-scale benchmark and the equivalence tests.
-	FullPush bool
 	// MaxIdleSkips bounds how many consecutive rounds a server may skip
 	// probing a peer it already reconciled with while its own generation
 	// is unchanged. The periodic forced probe re-verifies convergence,

@@ -23,8 +23,7 @@ import (
 // whole-database summary hash; only if the hashes differ does the peer
 // answer with its per-LWG digest vector, and only the groups whose
 // digests differ have their entries shipped (in both directions, so one
-// exchange still reconciles both replicas). Config.FullPush restores the
-// original push-pull baseline.
+// exchange still reconciles both replicas).
 type Server struct {
 	pid    ids.ProcessID
 	net    netsim.Transport
@@ -192,8 +191,7 @@ func (s *Server) PID() ids.ProcessID { return s.pid }
 //	deltas_sent     delta messages sent (either direction)
 //	delta_groups    groups whose entries were shipped in deltas
 //	delta_entries   entries shipped in deltas
-//	fulls_sent      full-database syncs sent (baseline or fallback)
-//	full_fallback   full syncs forced by a digest-version mismatch
+//	version_mismatch digest messages dropped for an alien format version
 //	merge_entries   entries passed to DB.Merge from sync messages
 //	merge_changed   groups actually changed by sync merges
 //	conflict_checks per-group conflict examinations after merges
@@ -211,8 +209,6 @@ func (s *Server) HandleMessage(from netsim.NodeID, _ netsim.Addr, msg netsim.Mes
 	switch m := msg.(type) {
 	case *msgRequest:
 		s.onRequest(from, m)
-	case *msgSync:
-		s.onSync(m)
 	case *msgDigest:
 		s.onDigest(m)
 	case *msgDelta:
@@ -266,16 +262,11 @@ func (s *Server) sendSync(peer ids.ProcessID, m netsim.Message) {
 }
 
 // antiEntropy runs one reconciliation round against the next ring peer.
-//
-// Baseline (Config.FullPush): push the full database; the peer merges and
-// answers with its own database (push-pull), so one exchange reconciles
-// both replicas — including after a partition heals.
-//
-// Digest mode: if our generation has not moved since the last completed
-// exchange with this peer, skip the round entirely (bounded by
-// MaxIdleSkips). Otherwise open with a probe carrying only our summary
-// hash; the entry exchange happens in onDigest/onDelta and only for the
-// groups that actually differ.
+// If our generation has not moved since the last completed exchange with
+// this peer, skip the round entirely (bounded by MaxIdleSkips). Otherwise
+// open with a probe carrying only our summary hash; the entry exchange
+// happens in onDigest/onDelta and only for the groups that actually
+// differ.
 func (s *Server) antiEntropy() {
 	if len(s.peers) == 0 {
 		return
@@ -283,11 +274,6 @@ func (s *Server) antiEntropy() {
 	peer := s.peers[s.next%len(s.peers)]
 	s.next++
 	s.stats.add("rounds", 1)
-	if s.cfg.FullPush {
-		s.stats.add("fulls_sent", 1)
-		s.sendSync(peer, &msgSync{From: s.pid, Entries: s.db.All()})
-		return
-	}
 	st := s.peerState(peer)
 	if st.done && st.doneGen == s.db.Generation() && st.skipped < s.cfg.MaxIdleSkips {
 		st.skipped++
@@ -314,19 +300,11 @@ func (s *Server) antiEntropy() {
 	})
 }
 
-// fallbackFull answers an uninterpretable digest message with the legacy
-// full push, so mixed-format server sets still converge: the peer merges
-// the entries and (for a non-reply sync) pushes its own database back.
-func (s *Server) fallbackFull(peer ids.ProcessID) {
-	s.trace("reconcile", "digest version mismatch with %v; full sync", peer)
-	s.stats.add("full_fallback", 1)
-	s.stats.add("fulls_sent", 1)
-	s.sendSync(peer, &msgSync{From: s.pid, Entries: s.db.All()})
-}
-
 func (s *Server) onDigest(m *msgDigest) {
 	if m.Version != digestVersion {
-		s.fallbackFull(m.From)
+		// Summaries in a format we cannot interpret: outside input, dropped
+		// and counted, never answered.
+		s.stats.add("version_mismatch", 1)
 		return
 	}
 	if !m.Reply {
@@ -432,20 +410,6 @@ func (s *Server) onDelta(m *msgDelta) {
 		s.stats.add("merge_entries", int64(entries))
 		s.stats.add("merge_changed", int64(len(dirty)))
 		s.trace("reconcile", "merged delta of %d groups from %v", len(m.Groups), m.From)
-		s.checkConflicts(dirty)
-	}
-}
-
-func (s *Server) onSync(m *msgSync) {
-	dirty := s.db.Merge(s.filterLapsed(m.Entries))
-	if !m.Reply {
-		s.stats.add("fulls_sent", 1)
-		s.sendSync(m.From, &msgSync{From: s.pid, Entries: s.db.All(), Reply: true})
-	}
-	if len(dirty) > 0 {
-		s.stats.add("merge_entries", int64(len(m.Entries)))
-		s.stats.add("merge_changed", int64(len(dirty)))
-		s.trace("reconcile", "merged %d entries from %v", len(m.Entries), m.From)
 		s.checkConflicts(dirty)
 	}
 }

@@ -12,8 +12,7 @@ var syncStatNames = []string{
 	"deltas_sent",
 	"delta_groups",
 	"delta_entries",
-	"fulls_sent",
-	"full_fallback",
+	"version_mismatch",
 	"merge_entries",
 	"merge_changed",
 	"conflict_checks",

@@ -194,7 +194,7 @@ func parseFaultRule(text string) (*FaultRule, error) {
 			strings.HasPrefix(item, "reorder="):
 			kv := strings.SplitN(item, "=", 2)
 			p, err := strconv.ParseFloat(kv[1], 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN parses, and fails both
 				return nil, fmt.Errorf("faults: %s wants a probability in [0,1], got %q", kv[0], kv[1])
 			}
 			switch kv[0] {

@@ -47,6 +47,7 @@ func TestParseFaultSpecErrors(t *testing.T) {
 	for _, bad := range []string{
 		"loss=1.5",       // probability out of range
 		"loss=abc",       // not a number
+		"dup=NaN",        // a number ParseFloat accepts and no comparison rejects
 		"delay=oops",     // not a duration
 		"delay=5ms..1ms", // inverted range
 		"frobnicate",     // unknown item
@@ -138,4 +139,43 @@ func TestFaultPlanCleanFastPath(t *testing.T) {
 	if send, delays := ft.plan(3); !send || delays != nil {
 		t.Fatalf("cleared table must be a no-op, got send=%v delays=%v", send, delays)
 	}
+}
+
+// FuzzParseFaultSpec feeds ParseFaultSpec arbitrary -faults strings (the
+// lwgnode and lwgcheck command lines, and the rtfaults line of a schedule
+// file): it must not panic, and a spec that parses holds only
+// probabilities in [0, 1] and delay ranges with 0 ≤ min ≤ max — what the
+// fault planner draws against without checking again.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("loss=0.05,dup=0.05,reorder=0.1,delay=200us..2ms")
+	f.Add("loss=0.2;3:block")
+	f.Add("loss=0.1,delay=1ms..4ms;2:block;5:dup=0.25,reorder=0.5;7:clean")
+	f.Add("loss=NaN")
+	f.Add(" ; 12 : delay=1h , ,block;")
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		rules := []*FaultRule{fs.Default}
+		for peer, r := range fs.Links {
+			if peer < 0 || r == nil {
+				t.Fatalf("spec %q: link %d -> %v", spec, peer, r)
+			}
+			rules = append(rules, r)
+		}
+		for _, r := range rules {
+			if r == nil {
+				continue // no default clause
+			}
+			for _, p := range []float64{r.Loss, r.Dup, r.Reorder} {
+				if !(p >= 0 && p <= 1) {
+					t.Fatalf("spec %q: probability %v outside [0, 1]", spec, p)
+				}
+			}
+			if r.DelayMin < 0 || r.DelayMax < r.DelayMin {
+				t.Fatalf("spec %q: delay range %v..%v", spec, r.DelayMin, r.DelayMax)
+			}
+		}
+	})
 }

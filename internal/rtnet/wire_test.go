@@ -59,13 +59,13 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireTypesComplete(t *testing.T) {
 	ranges := map[string][2]byte{"vsync": {1, 31}, "core": {32, 63}, "naming": {64, 95}}
 	want := map[string][]string{
-		"vsync": {"msgData", "ordToken", "msgAck", "msgNack", "msgRetrans", "msgAckVector",
+		"vsync": {"msgData", "ordToken", "msgNack", "msgRetrans", "msgAckVector",
 			"msgHeartbeat", "msgPresence", "msgJoinReq", "msgLeaveReq", "msgStop", "msgAbort",
 			"msgFlushOk", "msgFlushPull", "msgFlushFill", "msgNewView", "benchPayload"},
 		"core": {"lwgData", "lwgBatch", "lwgJoinReq", "lwgLeaveReq", "lwgMoved", "lwgStop",
 			"lwgFlushOk", "lwgView", "lwgAnnounce", "lwgMergeViews", "lwgMappedViews",
 			"lwgSwitch", "lwgSwitchReady"},
-		"naming": {"msgRequest", "msgReply", "msgSync", "msgDigest", "msgDelta", "MsgMultipleMappings"},
+		"naming": {"msgRequest", "msgReply", "msgDigest", "msgDelta", "MsgMultipleMappings"},
 	}
 	have := make(map[string]byte)
 	for id, m := range wiretest.Prototypes(t) {
@@ -89,6 +89,55 @@ func TestWireTypesComplete(t *testing.T) {
 		if id <= 95 {
 			t.Errorf("%s (wire id %d) is registered in a protocol range but missing from this list", typ, id)
 		}
+	}
+}
+
+// retiredEnvelopes builds datagram bodies whose message carries a retired
+// wire identifier: bare, in front of a length prefix, and in front of the
+// body the old codec wrote (a group or sender, a view id, two process ids
+// and a sequence number).
+func retiredEnvelopes(id byte) [][]byte {
+	var out [][]byte
+	for _, body := range [][]byte{{}, {0xff, 0xff, 0xff, 0xff, 0x0f, 0x00}, {8, 2, 4, 2, 2, 12}} {
+		var b wire.Buffer
+		b.Byte(envVersion)
+		b.PID(1)
+		b.String("hwg/4")
+		b.Byte(id)
+		out = append(out, append(b.B, body...))
+	}
+	return out
+}
+
+// TestRetiredWireIDsAreUnknown: identifiers 3 (the per-message ack) and
+// 68 (the full-database push) were deleted with their protocols and are
+// never reassigned. A datagram carrying one is a malformed datagram like
+// any other unknown identifier: counted, no envelope for the protocol
+// loop, so no reply.
+func TestRetiredWireIDsAreUnknown(t *testing.T) {
+	if got := wire.RetiredIDs(); !bytes.Equal(got, []byte{3, 68}) {
+		t.Fatalf("retired wire ids = %v, want [3 68]", got)
+	}
+	tr := &Transport{}
+	reg := metrics.NewRegistry()
+	tr.Instrument(reg)
+	reasm := newReassembler()
+	sent := int64(0)
+	for _, id := range wire.RetiredIDs() {
+		for _, env := range retiredEnvelopes(id) {
+			if _, err := decodeEnvelope(env); err == nil || !strings.Contains(err.Error(), "unknown type id") {
+				t.Errorf("wire id %d: decodeEnvelope error = %v, want unknown type id", id, err)
+			}
+			sent++
+			dgram := make([]byte, fragHeader, fragHeader+len(env))
+			writeFragHeader(dgram, uint64(sent), 0, 1)
+			if envs := tr.decodeInto(nil, reasm, rxDatagram{data: append(dgram, env...)}); len(envs) != 0 {
+				t.Errorf("wire id %d produced an envelope: %+v", id, envs)
+			}
+		}
+	}
+	if got := reg.Totals()["rtnet_datagrams_malformed_total"]; got != sent {
+		t.Fatalf("rtnet_datagrams_malformed_total = %d, want %d", got, sent)
 	}
 }
 
@@ -195,6 +244,11 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte{envVersion})
 	f.Add([]byte{envVersion | envFlagTC, 1, 0xff, 0xff})
 	f.Add([]byte{0, 1, 2, 3}) // a retired gob header
+	for _, id := range wire.RetiredIDs() {
+		for _, env := range retiredEnvelopes(id) {
+			f.Add(env)
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var env envelope
 		var err error

@@ -54,9 +54,8 @@ type CodecStat struct {
 }
 
 // CodecBenchStats measures the binary codec — encode and decode of the
-// representative data message — and returns the results for inclusion
-// in BENCH_plwg.json (cmd/lwgbench -json) and the benchmark's wire.*
-// layer ceilings.
+// representative data message — and returns the results for the
+// benchmark's wire.* layer ceilings.
 func CodecBenchStats() []CodecStat {
 	msg := benchMsgData()
 

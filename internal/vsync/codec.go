@@ -15,7 +15,7 @@ import (
 const (
 	wireMsgData byte = iota + 1
 	wireOrdToken
-	wireMsgAck
+	wireRetiredMsgAck // the per-message ack, deleted in PR 23
 	wireMsgAckVector
 	wireMsgHeartbeat
 	wireMsgNack
@@ -188,17 +188,6 @@ func (t *ordToken) MarshalWire(b *wire.Buffer) bool {
 }
 
 // WireID implements wire.Marshaler.
-func (m *msgAck) WireID() byte { return wireMsgAck }
-
-// MarshalWire implements wire.Marshaler.
-func (m *msgAck) MarshalWire(b *wire.Buffer) bool {
-	b.HWG(m.GID)
-	putMsgKey(b, m.Key)
-	b.PID(m.From)
-	return true
-}
-
-// WireID implements wire.Marshaler.
 func (m *msgAckVector) WireID() byte { return wireMsgAckVector }
 
 // MarshalWire implements wire.Marshaler.
@@ -345,17 +334,12 @@ func (m *msgNewView) MarshalWire(b *wire.Buffer) bool {
 }
 
 func init() {
+	wire.Retire(wireRetiredMsgAck)
 	wire.Register(wireMsgData, func(r *wire.Reader) (wire.Marshaler, error) {
 		return getMsgData(r)
 	})
 	wire.Register(wireOrdToken, func(r *wire.Reader) (wire.Marshaler, error) {
 		return &ordToken{Key: getMsgKey(r), Idx: r.Uint64()}, r.Err()
-	})
-	wire.Register(wireMsgAck, func(r *wire.Reader) (wire.Marshaler, error) {
-		m := &msgAck{GID: r.HWG()}
-		m.Key = getMsgKey(r)
-		m.From = r.PID()
-		return m, r.Err()
 	})
 	wire.Register(wireMsgAckVector, func(r *wire.Reader) (wire.Marshaler, error) {
 		m := &msgAckVector{GID: r.HWG()}

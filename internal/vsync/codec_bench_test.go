@@ -46,7 +46,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		benchMsgData(),
 		&msgData{GID: 1, View: vid(2, 9), Sender: 2, Seq: 1, Ordered: true},
 		&ordToken{Key: msgKey{View: vid(1, 4), Sender: 7, Seq: 19}, Idx: 3},
-		&msgAck{GID: 4, Key: msgKey{View: vid(0, 1), Sender: 1, Seq: 2}, From: 6},
 		&msgAckVector{GID: 2, View: vid(5, 8), From: 3,
 			MaxSeq: map[ids.ProcessID]uint64{1: 10, 4: 7}},
 		&msgHeartbeat{GID: 9, From: 2, View: vid(2, 2), MaxSeq: 55},

@@ -2,29 +2,6 @@ package vsync
 
 import "time"
 
-// AckPolicy selects how message stability is tracked.
-type AckPolicy int
-
-const (
-	// AckPerMessage sends one small acknowledgement frame per delivered
-	// data message (Horus-style stability). The acknowledgement traffic
-	// is a first-order component of the paper's interference effect,
-	// because a group of 8 produces more than twice the stability
-	// traffic of a group of 4 per data message.
-	AckPerMessage AckPolicy = iota + 1
-	// AckPeriodic sends one cumulative acknowledgement vector per
-	// AckInterval instead — an ablation of the stability-traffic design
-	// choice.
-	AckPeriodic
-	// AckPiggyback (the default) carries the cumulative acknowledgement
-	// vector on every outgoing data message, falling back to one
-	// standalone vector per AckInterval only when the member sent no
-	// data since the last tick. Busy bidirectional traffic pays no
-	// extra frames at all; idle receivers cost one small frame per
-	// interval.
-	AckPiggyback
-)
-
 // OrderingMode selects the delivery order guarantee for group multicasts.
 type OrderingMode int
 
@@ -77,11 +54,10 @@ type Config struct {
 	// upcalling the user. The light-weight group layer keeps it false so
 	// it can quiesce its own groups first (Table 1's Stop/StopOk pair).
 	AutoStopOk bool
-	// AckPolicy selects the stability scheme (default AckPiggyback).
-	AckPolicy AckPolicy
-	// AckInterval is the cumulative-acknowledgement period under
-	// AckPeriodic, and the idle-receiver fallback period under
-	// AckPiggyback.
+	// AckInterval is the idle-receiver period of the stability scheme:
+	// every outgoing data message carries the sender's cumulative
+	// acknowledgement vector, and a member that sent no data since the
+	// last tick sends one standalone vector instead.
 	AckInterval time.Duration
 	// Ordering selects the multicast delivery order (default
 	// OrderingFIFO).
@@ -107,7 +83,6 @@ func DefaultConfig() Config {
 		ResponderTimeout:  1500 * time.Millisecond,
 		MaxFlushAttempts:  5,
 		AutoStopOk:        false,
-		AckPolicy:         AckPiggyback,
 		AckInterval:       50 * time.Millisecond,
 		NackInterval:      100 * time.Millisecond,
 	}
@@ -145,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFlushAttempts <= 0 {
 		c.MaxFlushAttempts = d.MaxFlushAttempts
-	}
-	if c.AckPolicy == 0 {
-		c.AckPolicy = d.AckPolicy
 	}
 	if c.AckInterval <= 0 {
 		c.AckInterval = d.AckInterval

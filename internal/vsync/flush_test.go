@@ -78,24 +78,24 @@ func TestDigestTracking(t *testing.T) {
 	mk := func(seq uint64) *msgData {
 		return &msgData{GID: g1, View: m.view.ID, Sender: 7, Seq: seq, Payload: tPayload{ID: "x"}}
 	}
-	m.deliverData(mk(1), false)
-	m.deliverData(mk(2), false)
+	m.deliverData(mk(1))
+	m.deliverData(mk(2))
 	if m.deliveredSeq[7] != 2 || len(m.extras) != 0 {
 		t.Fatalf("contig = %d extras = %d, want 2/0", m.deliveredSeq[7], len(m.extras))
 	}
 	// Out of order: 5 and 4 arrive before 3.
-	m.deliverData(mk(5), false)
-	m.deliverData(mk(4), false)
+	m.deliverData(mk(5))
+	m.deliverData(mk(4))
 	if m.deliveredSeq[7] != 2 || len(m.extras) != 2 {
 		t.Fatalf("contig = %d extras = %d, want 2/2", m.deliveredSeq[7], len(m.extras))
 	}
 	// 3 closes the gap; extras are absorbed.
-	m.deliverData(mk(3), false)
+	m.deliverData(mk(3))
 	if m.deliveredSeq[7] != 5 || len(m.extras) != 0 {
 		t.Fatalf("contig = %d extras = %d, want 5/0", m.deliveredSeq[7], len(m.extras))
 	}
 	// Duplicates are ignored.
-	m.deliverData(mk(3), false)
+	m.deliverData(mk(3))
 	if m.deliveredSeq[7] != 5 {
 		t.Fatalf("duplicate moved the digest: %d", m.deliveredSeq[7])
 	}
@@ -166,9 +166,7 @@ func TestGapRetransmissionOnDivergence(t *testing.T) {
 }
 
 func TestPeriodicAcksSurvivePartitionMerge(t *testing.T) {
-	cfg := autoCfg()
-	cfg.AckPolicy = AckPeriodic
-	w := newWorld(t, 4, cfg)
+	w := newWorld(t, 4, autoCfg())
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)

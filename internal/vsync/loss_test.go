@@ -40,9 +40,7 @@ func lossyWorld(t *testing.T, n int, cfg Config, lossRate float64, seed int64) *
 // TestLossRepairDelivery: with 3% delivery loss, NACK-based repair (plus
 // the periodic ack vectors) must still deliver every message everywhere.
 func TestLossRepairDelivery(t *testing.T) {
-	cfg := autoCfg()
-	cfg.AckPolicy = AckPeriodic // per-message acks are themselves lossy
-	w := lossyWorld(t, 3, cfg, 0.03, 5)
+	w := lossyWorld(t, 3, autoCfg(), 0.03, 5)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -79,9 +77,7 @@ func TestLossRepairDelivery(t *testing.T) {
 // TestLossRepairTotalOrder: total order must survive datagram loss — a
 // lost token or message is repaired and the sequence stays uniform.
 func TestLossRepairTotalOrder(t *testing.T) {
-	cfg := totalCfg()
-	cfg.AckPolicy = AckPeriodic
-	w := lossyWorld(t, 3, cfg, 0.03, 8)
+	w := lossyWorld(t, 3, totalCfg(), 0.03, 8)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -107,9 +103,7 @@ func TestLossRepairTotalOrder(t *testing.T) {
 
 // TestLossyMembershipChurn: joins, a crash and a view change under loss.
 func TestLossyMembershipChurn(t *testing.T) {
-	cfg := autoCfg()
-	cfg.AckPolicy = AckPeriodic
-	w := lossyWorld(t, 4, cfg, 0.02, 11)
+	w := lossyWorld(t, 4, autoCfg(), 0.02, 11)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)

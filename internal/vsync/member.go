@@ -37,16 +37,15 @@ type member struct {
 	nextSeq uint64
 	pending []Payload
 	// piggybacked is set when an outgoing data message carried the
-	// cumulative ack vector (AckPiggyback); the ack ticker skips one
-	// standalone vector per interval in which it is set.
+	// cumulative ack vector; the ack ticker skips one standalone vector
+	// per interval in which it is set.
 	piggybacked bool
 
 	// Per-view delivery and stability state (reset at each install).
 	delivered map[msgKey]bool
 	buffer    map[msgKey]*msgData
-	acks      map[msgKey]map[ids.ProcessID]bool
 	// ackVectors holds, per peer, the highest contiguous sequence the
-	// peer acknowledged per sender (AckPeriodic only).
+	// peer acknowledged per sender.
 	ackVectors map[ids.ProcessID]map[ids.ProcessID]uint64
 	// deliveredSeq tracks the highest contiguous sequence delivered per
 	// sender; together with extras it forms the flush digest.
@@ -274,10 +273,9 @@ func (m *member) send(p Payload) {
 }
 
 // ackSnapshot copies the delivered-sequence vector for piggybacking on an
-// outgoing data message (nil under the other ack policies, or when
-// nothing was delivered yet).
+// outgoing data message (nil when nothing was delivered yet).
 func (m *member) ackSnapshot() map[ids.ProcessID]uint64 {
-	if m.st.cfg.AckPolicy != AckPiggyback || len(m.deliveredSeq) == 0 {
+	if len(m.deliveredSeq) == 0 {
 		return nil
 	}
 	vec := make(map[ids.ProcessID]uint64, len(m.deliveredSeq))
@@ -315,7 +313,7 @@ func (m *member) onData(from ids.ProcessID, d *msgData) {
 	if tc, ok := m.st.inboundTC(); ok && tc.Origin == int64(d.Sender) {
 		d.tc, d.tcOK = tc, true
 	}
-	m.deliverData(d, true)
+	m.deliverData(d)
 	if len(d.Acks) > 0 {
 		// Piggybacked cumulative vector: same stability rule as a
 		// standalone msgAckVector.
@@ -323,10 +321,8 @@ func (m *member) onData(from ids.ProcessID, d *msgData) {
 	}
 }
 
-// deliverData performs deduplicated delivery; ack controls whether a
-// stability acknowledgement is sent (live traffic yes, flush
-// retransmissions no).
-func (m *member) deliverData(d *msgData, ack bool) {
+// deliverData performs deduplicated delivery.
+func (m *member) deliverData(d *msgData) {
 	k := d.key()
 	if d.Seq > m.maxSeen[d.Sender] {
 		m.maxSeen[d.Sender] = d.Seq
@@ -335,7 +331,9 @@ func (m *member) deliverData(d *msgData, ack bool) {
 		return
 	}
 	m.delivered[k] = true
-	m.buffer[k] = d
+	if !m.stable(k) {
+		m.buffer[k] = d // somebody else in the view may still be missing it
+	}
 	// Maintain the flush digest: contiguous prefix per sender, plus
 	// out-of-order extras (absorbed into the prefix as gaps close).
 	if m.deliveredSeq[d.Sender]+1 == d.Seq {
@@ -351,11 +349,6 @@ func (m *member) deliverData(d *msgData, ack bool) {
 	} else if d.Seq > m.deliveredSeq[d.Sender] {
 		m.extras[k] = true
 	}
-	if d.Sender != m.st.pid && m.st.cfg.AckPolicy == AckPerMessage && ack {
-		m.multicast(&msgAck{GID: m.gid, Key: k, From: m.st.pid})
-	}
-	m.recordAck(k, d.Sender) // the sender trivially has its own message
-	m.recordAck(k, m.st.pid)
 
 	// Total-order machinery: tokens sequence buffered Ordered messages;
 	// Ordered messages wait for their token.
@@ -441,14 +434,6 @@ func (m *member) flushOrderedResidue() {
 	}
 }
 
-func (m *member) onAck(from ids.ProcessID, a *msgAck) {
-	if a.Key.View != m.view.ID {
-		return
-	}
-	m.heard(from)
-	m.recordAck(a.Key, from)
-}
-
 func (m *member) onAckVector(from ids.ProcessID, a *msgAckVector) {
 	if a.View != m.view.ID {
 		return
@@ -471,58 +456,33 @@ func (m *member) applyAckVector(from ids.ProcessID, maxSeq map[ids.ProcessID]uin
 			vec[sender] = seq
 		}
 	}
-	m.collectVectorStability()
-}
-
-func (m *member) recordAck(k msgKey, from ids.ProcessID) {
-	set := m.acks[k]
-	if set == nil {
-		set = make(map[ids.ProcessID]bool)
-		m.acks[k] = set
-	}
-	set[from] = true
-	m.checkStable(k)
-}
-
-// checkStable discards the buffered copy once every view member holds the
-// message.
-func (m *member) checkStable(k msgKey) {
-	set := m.acks[k]
-	for _, p := range m.view.Members {
-		if !set[p] {
-			return
-		}
-	}
-	delete(m.buffer, k)
-	delete(m.acks, k)
-}
-
-// collectVectorStability applies cumulative-ack stability (AckPeriodic
-// and AckPiggyback).
-func (m *member) collectVectorStability() {
 	for k := range m.buffer {
-		stable := true
-		for _, p := range m.view.Members {
-			if p == m.st.pid || p == k.Sender {
-				continue
-			}
-			if m.ackVectors[p][k.Sender] < k.Seq {
-				stable = false
-				break
-			}
-		}
-		if stable {
+		if m.stable(k) {
 			delete(m.buffer, k)
-			delete(m.acks, k)
 		}
 	}
+}
+
+// stable reports whether every view member holds message k, so its
+// buffered copy can go: this process and the sender trivially do, every
+// other member must have acknowledged the sender up to k's sequence.
+func (m *member) stable(k msgKey) bool {
+	for _, p := range m.view.Members {
+		if p == m.st.pid || p == k.Sender {
+			continue
+		}
+		if m.ackVectors[p][k.Sender] < k.Seq {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *member) sendAckVector() {
 	if m.state != stateNormal || len(m.deliveredSeq) == 0 {
 		return
 	}
-	if m.st.cfg.AckPolicy == AckPiggyback && m.piggybacked {
+	if m.piggybacked {
 		// Data traffic carried the vector since the last tick; the
 		// standalone frame would be pure overhead.
 		m.piggybacked = false
@@ -625,7 +585,7 @@ func (m *member) onRetrans(from ids.ProcessID, r *msgRetrans) {
 	m.heard(from)
 	for _, d := range r.Msgs {
 		if d.View == m.view.ID {
-			m.deliverData(d, true)
+			m.deliverData(d)
 		}
 	}
 }
@@ -773,9 +733,7 @@ func (m *member) startTimers() {
 		m.fdTicker = m.st.clock.Every(cfg.FDCheckInterval, m.checkFailures)
 		m.presTicker = m.st.clock.Every(cfg.PresenceInterval, m.sendPresence)
 		m.nackTicker = m.st.clock.Every(cfg.NackInterval, m.scanGaps)
-		if cfg.AckPolicy == AckPeriodic || cfg.AckPolicy == AckPiggyback {
-			m.ackTicker = m.st.clock.Every(cfg.AckInterval, m.sendAckVector)
-		}
+		m.ackTicker = m.st.clock.Every(cfg.AckInterval, m.sendAckVector)
 	})
 }
 
@@ -842,7 +800,6 @@ func (m *member) install(v ids.View) {
 	m.piggybacked = false
 	m.delivered = make(map[msgKey]bool)
 	m.buffer = make(map[msgKey]*msgData)
-	m.acks = make(map[msgKey]map[ids.ProcessID]bool)
 	m.ackVectors = make(map[ids.ProcessID]map[ids.ProcessID]uint64)
 	m.deliveredSeq = make(map[ids.ProcessID]uint64)
 	m.extras = make(map[msgKey]bool)

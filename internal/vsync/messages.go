@@ -56,7 +56,7 @@ type msgData struct {
 	Ordered bool
 	// Acks piggybacks the sender's cumulative acknowledgement vector
 	// (highest contiguous sequence delivered per sender in View); nil
-	// unless the AckPiggyback policy is active.
+	// when the sender has delivered nothing yet.
 	Acks map[ids.ProcessID]uint64
 
 	// tc is the wire trace context of the envelope this message arrived
@@ -94,21 +94,9 @@ type ordToken struct {
 // WireSize implements Payload.
 func (t *ordToken) WireSize() int { return 28 }
 
-// msgAck acknowledges delivery of one data message (AckPerMessage).
-type msgAck struct {
-	GID  ids.HWGID
-	Key  msgKey
-	From ids.ProcessID
-}
-
-// WireSize implements netsim.Message.
-func (m *msgAck) WireSize() int { return 32 }
-
-// Kind implements netsim.Kinder.
-func (m *msgAck) Kind() string { return "ack" }
-
-// msgAckVector is a cumulative acknowledgement (AckPeriodic): the highest
-// contiguous sequence number delivered per sender in the current view.
+// msgAckVector is a standalone cumulative acknowledgement: the highest
+// contiguous sequence number delivered per sender in the current view,
+// sent once per AckInterval in which no data message carried it.
 type msgAckVector struct {
 	GID    ids.HWGID
 	View   ids.ViewID

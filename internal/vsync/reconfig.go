@@ -593,7 +593,7 @@ func (m *member) onNewView(from ids.ProcessID, nv *msgNewView) {
 		// belong to it and that we have not delivered yet.
 		for _, d := range nv.FlushData {
 			if d.View == m.view.ID {
-				m.deliverData(d, false)
+				m.deliverData(d)
 			}
 		}
 		switch {

@@ -310,8 +310,6 @@ func (s *Stack) HandleMessage(from netsim.NodeID, _ netsim.Addr, msg netsim.Mess
 	switch m := msg.(type) {
 	case *msgData:
 		s.withMember(m.GID, func(mb *member) { mb.onData(from, m) })
-	case *msgAck:
-		s.withMember(m.GID, func(mb *member) { mb.onAck(from, m) })
 	case *msgNack:
 		s.withMember(m.GID, func(mb *member) { mb.onNack(from, m) })
 	case *msgRetrans:

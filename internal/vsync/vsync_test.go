@@ -272,10 +272,11 @@ func TestStabilityDiscardsBuffers(t *testing.T) {
 	}
 }
 
+// TestPeriodicAckStability: one sender, two idle receivers — nothing the
+// receivers send can carry their vector, so stability rests on the
+// standalone one per AckInterval.
 func TestPeriodicAckStability(t *testing.T) {
-	cfg := autoCfg()
-	cfg.AckPolicy = AckPeriodic
-	w := newWorld(t, 3, cfg)
+	w := newWorld(t, 3, autoCfg())
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -302,6 +303,41 @@ func TestPeriodicAckStability(t *testing.T) {
 		m := w.stacks[pid].groups[g1]
 		if len(m.buffer) != 0 {
 			t.Errorf("%v still buffers %d messages under periodic acks", pid, len(m.buffer))
+		}
+	}
+}
+
+// TestStableAtDeliveryWithoutVectors: where no member other than this
+// process and the sender exists — a singleton, a two-member view at the
+// receiver — a delivered message is stable at delivery and leaves the
+// buffer before any acknowledgement vector could have arrived. The
+// sender of a two-member view needs the peer's vector and keeps it.
+func TestStableAtDeliveryWithoutVectors(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		cfg := autoCfg()
+		cfg.AckInterval = time.Hour // no standalone vector during the test
+		w := newWorld(t, n, cfg)
+		for i := 0; i < n; i++ {
+			if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.run(4 * time.Second)
+		if err := w.stacks[0].Send(g1, tPayload{ID: "m"}); err != nil {
+			t.Fatal(err)
+		}
+		w.run(20 * time.Millisecond)
+		for pid := ids.ProcessID(0); int(pid) < n; pid++ {
+			if len(w.ups[pid].log[g1]) == 0 {
+				t.Fatalf("n=%d: %v delivered nothing", n, pid)
+			}
+			want := 0
+			if n == 2 && pid == 0 {
+				want = 1
+			}
+			if got := len(w.stacks[pid].groups[g1].buffer); got != want {
+				t.Errorf("n=%d: %v buffers %d messages after delivery, want %d", n, pid, got, want)
+			}
 		}
 	}
 }

@@ -36,21 +36,45 @@ type Marshaler interface {
 // Decoder reconstructs one message body from r.
 type Decoder func(r *Reader) (Marshaler, error)
 
-var decoders [256]Decoder
+var (
+	decoders [256]Decoder
+	retired  [256]bool
+)
 
 // Register installs the decoder for a type identifier. Identifier
 // ranges are assigned per package (vsync 1–31, core 32–63, naming
 // 64–95; 96–255 are free for tests and tools) so registrations cannot
-// collide. Register panics on a duplicate identifier: that is a
-// programming error, not a runtime condition.
+// collide. Register panics on a duplicate or retired identifier: that
+// is a programming error, not a runtime condition.
 func Register(id byte, dec Decoder) {
 	if id == 0 {
 		panic("wire: type id 0 is reserved")
 	}
-	if decoders[id] != nil {
-		panic(fmt.Sprintf("wire: duplicate type id %d", id))
+	if decoders[id] != nil || retired[id] {
+		panic(fmt.Sprintf("wire: duplicate or retired type id %d", id))
 	}
 	decoders[id] = dec
+}
+
+// Retire marks the identifier of a deleted message type. It stays
+// unknown to Decode, and is never assigned again: a datagram from a
+// process that still speaks the old type must not decode as a new one.
+func Retire(id byte) {
+	if decoders[id] != nil {
+		panic(fmt.Sprintf("wire: type id %d is in use", id))
+	}
+	retired[id] = true
+}
+
+// RetiredIDs returns every identifier Retire has seen, ascending.
+func RetiredIDs() []byte {
+	var out []byte
+	for id, r := range retired {
+		if r {
+			out = append(out, byte(id))
+		}
+	}
+	return out
 }
 
 // RegisteredIDs returns every identifier Register has seen, ascending.

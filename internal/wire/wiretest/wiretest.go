@@ -261,14 +261,23 @@ func AllocBound(tb testing.TB, raw []byte, decode func()) {
 // bytes to wire.Decode. A decoder must not panic, must stay inside
 // AllocBound, and anything it accepts must re-encode and decode back to
 // the same message, so a corrupt datagram cannot become protocol state
-// that the sender could not have meant.
+// that the sender could not have meant. Retired identifiers stay in the
+// seed corpus — bare, and in front of live bodies — and never decode.
 func FuzzCodec(f *testing.F) {
-	for _, s := range Samples(f) {
+	samples := Samples(f)
+	for _, s := range samples {
 		f.Add(Encode(f, s.Msg))
 	}
-	for _, id := range wire.RegisteredIDs() {
+	for _, id := range append(wire.RegisteredIDs(), wire.RetiredIDs()...) {
 		f.Add([]byte{id})
 		f.Add([]byte{id, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x00}) // a 4 GiB length prefix
+	}
+	retired := make(map[byte]bool)
+	for _, id := range wire.RetiredIDs() {
+		retired[id] = true
+		for _, s := range samples[:len(Variants)] {
+			f.Add(append([]byte{id}, Encode(f, s.Msg)[1:]...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var m wire.Marshaler
@@ -276,6 +285,9 @@ func FuzzCodec(f *testing.F) {
 		AllocBound(t, raw, func() { m, err = wire.Decode(wire.NewReader(raw)) })
 		if err != nil {
 			return
+		}
+		if retired[raw[0]] {
+			t.Fatalf("retired wire id %d decoded to %T", raw[0], m)
 		}
 		RoundTrip(t, m)
 	})
