@@ -1,87 +1,28 @@
 package plwg
 
-// Ablation benchmarks for the design choices called out in DESIGN.md §5
-// that are real settings (the network model, the delivery order, the
-// Figure 1 policy parameters). Each reports the same headline metric as
-// the main experiment, so the contribution of the choice is directly
-// visible in `go test -bench=Ablation`.
+// Ablation benchmark for the Figure 1 policy parameters (DESIGN.md §5):
+// it reports the switch count a mild membership drift provokes, so the
+// contribution of the paper's choice is directly visible in
+// `go test -bench=Ablation`.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
-	"plwg/internal/bench"
-	"plwg/internal/netsim"
-	"plwg/internal/vsync"
+	"plwg/internal/trace"
 )
-
-// BenchmarkBusVsPointToPoint ablates the shared-medium assumption: on
-// independent point-to-point links the static configuration's
-// interference (everybody shares one wire and one stability domain)
-// largely disappears, confirming that the Figure 2 latency gap is a
-// shared-medium effect — exactly why the paper's testbed (10 Mbps shared
-// Ethernet) shows it.
-func BenchmarkBusVsPointToPoint(b *testing.B) {
-	nets := []struct {
-		name string
-		p2p  bool
-	}{
-		{"shared-bus", false},
-		{"point-to-point", true},
-	}
-	for _, nt := range nets {
-		for _, mode := range []bench.Mode{bench.StaticLWG, bench.DynamicLWG} {
-			b.Run(nt.name+"/"+mode.String(), func(b *testing.B) {
-				params := netsim.DefaultParams()
-				params.PointToPoint = nt.p2p
-				var last bench.LatencyResult
-				for i := 0; i < b.N; i++ {
-					last = bench.RunLatencyWith(mode, 8, int64(i+1), benchDurations(),
-						bench.Options{Net: &params})
-					if !last.Converged {
-						b.Fatal("run did not converge")
-					}
-				}
-				b.ReportMetric(last.MeanMs, "latency-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkOrderingAblation compares FIFO and sequencer-based total-order
-// delivery: the token round adds latency and per-message frames, the
-// price of a uniform delivery sequence.
-func BenchmarkOrderingAblation(b *testing.B) {
-	modes := []struct {
-		name string
-		ord  vsync.OrderingMode
-	}{
-		{"fifo", vsync.OrderingFIFO},
-		{"total-order", vsync.OrderingTotal},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			var last bench.LatencyResult
-			for i := 0; i < b.N; i++ {
-				last = bench.RunLatencyWith(bench.DynamicLWG, 8, int64(i+1), benchDurations(),
-					bench.Options{Ordering: m.ord})
-				if !last.Converged {
-					b.Fatal("run did not converge")
-				}
-			}
-			b.ReportMetric(last.MeanMs, "latency-ms")
-		})
-	}
-}
 
 // BenchmarkPolicyAblation sweeps the Figure 1 hysteresis parameter k_m:
 // with k_m = 1 every sub-unity overlap triggers a switch (no
 // hysteresis), with the paper's k_m = 4 only a 25% overlap does. The
 // metric is the number of switch operations a mild membership drift
-// provokes — the paper chose 4 precisely to keep this at zero.
+// provokes — the paper chose 4 precisely to keep this at zero. The
+// benchmark fails if k_m = 1 shows no switch or k_m = 4 shows any, so a
+// miscounted event cannot turn it silent.
 func BenchmarkPolicyAblation(b *testing.B) {
 	for _, km := range []int{1, 2, 4} {
-		b.Run(kmLabel(km), func(b *testing.B) {
+		b.Run(fmt.Sprintf("km=%d", km), func(b *testing.B) {
 			var switches float64
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Nodes: 8, NameServers: []int{0}, Seed: int64(i + 1), CollectTrace: true}
@@ -112,23 +53,18 @@ func BenchmarkPolicyAblation(b *testing.B) {
 				c.Run(4 * time.Second)
 				switches = 0
 				for _, e := range c.Trace().Events {
-					if e.What == "switch" {
+					if e.What == trace.LWGSwitch {
 						switches++
 					}
+				}
+				if km == 1 && switches == 0 {
+					b.Fatal("k_m = 1 provoked no switch: the drift no longer triggers the policy, or switches go uncounted")
+				}
+				if km == 4 && switches != 0 {
+					b.Fatalf("k_m = 4 provoked %v switches, want 0", switches)
 				}
 			}
 			b.ReportMetric(switches, "switch-events")
 		})
-	}
-}
-
-func kmLabel(km int) string {
-	switch km {
-	case 1:
-		return "km=1"
-	case 2:
-		return "km=2"
-	default:
-		return "km=4"
 	}
 }

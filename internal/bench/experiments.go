@@ -60,12 +60,7 @@ type LatencyResult struct {
 // RunLatency measures mean one-way delivery latency under the fixed
 // offered load (Figure 2, "latency").
 func RunLatency(mode Mode, n int, seed int64, d Durations) LatencyResult {
-	return RunLatencyWith(mode, n, seed, d, Options{})
-}
-
-// RunLatencyWith is RunLatency with harness overrides (ablations).
-func RunLatencyWith(mode Mode, n int, seed int64, d Durations, opts Options) LatencyResult {
-	h := NewHarnessWith(mode, workload.Fig2Topology(n), seed, opts)
+	h := NewHarness(mode, workload.Fig2Topology(n), seed)
 	if !h.Setup(d.SetupMax) {
 		return LatencyResult{}
 	}
@@ -117,7 +112,7 @@ func RunThroughput(mode Mode, n int, seed int64, d Durations) ThroughputResult {
 	return RunThroughputWith(mode, n, seed, d, Options{})
 }
 
-// RunThroughputWith is RunThroughput with harness overrides.
+// RunThroughputWith is RunThroughput with instrumentation.
 func RunThroughputWith(mode Mode, n int, seed int64, d Durations, opts Options) ThroughputResult {
 	h := NewHarnessWith(mode, workload.Fig2Topology(n), seed, opts)
 	if !h.Setup(d.SetupMax) {

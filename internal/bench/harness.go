@@ -17,7 +17,6 @@ package bench
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"plwg/internal/core"
@@ -89,10 +88,7 @@ type Harness struct {
 	// onDeliver, when set, observes every delivery.
 	onDeliver func(gi int, member, src ids.ProcessID, id uint64, size int)
 
-	// Tracer records protocol events when set before NewHarness builds
-	// the stacks (see NewHarnessTraced).
-	Tracer trace.Tracer
-	opts   Options
+	opts Options
 
 	tickers []stopper
 }
@@ -109,9 +105,8 @@ type benchPayload struct {
 // WireSize implements vsync.Payload.
 func (p benchPayload) WireSize() int { return p.Size }
 
-// Options are optional harness overrides: instrumentation for the
-// observability records, the delivery order and the network model for
-// the two remaining ablation benchmarks.
+// Options are optional harness instrumentation for the observability
+// records.
 type Options struct {
 	// Tracer records protocol events (a *trace.Recorder for analysis
 	// runs, a *trace.Ring for overhead-representative ones).
@@ -120,10 +115,6 @@ type Options struct {
 	// (the registry is shared across the cluster, so counters aggregate
 	// cluster-wide); nil disables it.
 	Metrics *metrics.Registry
-	// Ordering overrides the multicast delivery order.
-	Ordering vsync.OrderingMode
-	// Net overrides the network model.
-	Net *netsim.Params
 }
 
 // NewHarness builds the configuration over the topology. Call Setup to
@@ -132,26 +123,16 @@ func NewHarness(mode Mode, topo workload.Topology, seed int64) *Harness {
 	return NewHarnessWith(mode, topo, seed, Options{})
 }
 
-// NewHarnessTraced is NewHarness with a protocol-trace recorder.
-func NewHarnessTraced(mode Mode, topo workload.Topology, seed int64, tr *trace.Recorder) *Harness {
-	return NewHarnessWith(mode, topo, seed, Options{Tracer: tr})
-}
-
-// NewHarnessWith is NewHarness with ablation overrides.
+// NewHarnessWith is NewHarness with instrumentation.
 func NewHarnessWith(mode Mode, topo workload.Topology, seed int64, opts Options) *Harness {
 	s := sim.New(seed)
-	netParams := netsim.DefaultParams()
-	if opts.Net != nil {
-		netParams = *opts.Net
-	}
 	h := &Harness{
 		Mode:     mode,
 		Topo:     topo,
 		S:        s,
-		NW:       netsim.New(s, netParams),
+		NW:       netsim.New(s, netsim.DefaultParams()),
 		groupIdx: make(map[ids.LWGID]int),
 		sentAt:   make(map[uint64]sim.Time),
-		Tracer:   opts.Tracer,
 		opts:     opts,
 	}
 	for i, g := range topo.Groups {
@@ -168,8 +149,8 @@ func NewHarnessWith(mode Mode, topo workload.Topology, seed int64, opts Options)
 
 // tracer returns the configured tracer or a no-op.
 func (h *Harness) tracer() trace.Tracer {
-	if h.Tracer != nil {
-		return h.Tracer
+	if h.opts.Tracer != nil {
+		return h.opts.Tracer
 	}
 	return trace.Nop{}
 }
@@ -181,9 +162,6 @@ func (h *Harness) buildNoLWG() {
 	h.stacks = make(map[ids.ProcessID]*vsync.Stack)
 	cfg := vsync.DefaultConfig()
 	cfg.AutoStopOk = true
-	if h.opts.Ordering != 0 {
-		cfg.Ordering = h.opts.Ordering
-	}
 	for i := 0; i < h.Topo.Procs; i++ {
 		pid := ids.ProcessID(i)
 		up := &noLWGUpcalls{h: h, pid: pid}
@@ -236,7 +214,6 @@ func (h *Harness) buildLWG(static bool) {
 			PID:     pid,
 			Servers: serverPids,
 			Config:  svcCfg,
-			Vsync:   vsync.Config{Ordering: h.opts.Ordering},
 			Upcalls: up,
 			Tracer:  h.tracer(),
 			Metrics: h.opts.Metrics,
@@ -455,11 +432,6 @@ func (h *Harness) HWGCount() int {
 // Registry returns the cluster-wide metrics registry (nil unless
 // Options.Metrics was set).
 func (h *Harness) Registry() *metrics.Registry { return h.opts.Metrics }
-
-// Describe returns a one-line summary for table headers.
-func (h *Harness) Describe() string {
-	return fmt.Sprintf("%s: %d groups on %d HWGs", h.Mode, len(h.Topo.Groups), h.HWGCount())
-}
 
 // Metrics convenience re-export so callers need not import the package.
 type Histogram = metrics.Histogram

@@ -76,21 +76,6 @@ type Config struct {
 	PolicyInterval time.Duration
 	// Policy holds the Figure 1 parameters (k_m, k_c).
 	Policy policy.Params
-	// LwgFlushTimeout bounds a LWG-level flush round.
-	LwgFlushTimeout time.Duration
-	// JoinRetryInterval is the period of LWG join request retries.
-	JoinRetryInterval time.Duration
-	// LwgJoinTimeout is how long a joiner waits for an existing LWG view
-	// before forming its own.
-	LwgJoinTimeout time.Duration
-	// SwitchRetryInterval re-announces switch instructions until every
-	// member has re-bound.
-	SwitchRetryInterval time.Duration
-	// NSRetryInterval is the retry period for naming-service operations.
-	NSRetryInterval time.Duration
-	// ShrinkAfter is how long a process tolerates membership of a HWG
-	// with no local LWG mapped on it before leaving (the shrink rule).
-	ShrinkAfter time.Duration
 	// MappingRefreshInterval is how often a LWG view's coordinator
 	// refreshes its mapping lease in the naming service. Must be well
 	// below naming.Config.MappingTTL.
@@ -104,32 +89,44 @@ type Config struct {
 	// companions before the batch is flushed — a fraction of the bus
 	// round-trip, so batching never dominates delivery latency.
 	MaxBatchDelay time.Duration
-	// MaxPreInstall bounds the per-member buffer of data received under
+}
+
+// Timers and bounds of the light-weight group service, sized for the
+// simulated testbed.
+const (
+	// lwgFlushTimeout bounds a LWG-level flush round.
+	lwgFlushTimeout = 400 * time.Millisecond
+	// joinRetryInterval is the period of LWG join request retries.
+	joinRetryInterval = 200 * time.Millisecond
+	// lwgJoinTimeout is how long a joiner waits for an existing LWG view
+	// before forming its own.
+	lwgJoinTimeout = 700 * time.Millisecond
+	// switchRetryInterval re-announces switch instructions until every
+	// member has re-bound.
+	switchRetryInterval = 250 * time.Millisecond
+	// nsRetryInterval is the retry period for naming-service operations.
+	nsRetryInterval = 250 * time.Millisecond
+	// shrinkAfter is how long a process tolerates membership of a HWG
+	// with no local LWG mapped on it before leaving (the shrink rule).
+	shrinkAfter = 2 * time.Second
+	// maxPreInstall bounds the per-member buffer of data received under
 	// views not yet installed (see lwgMember.bufferPreInstall). Overflow
 	// sheds the oldest message, counted by core_preinstall_drops_total
 	// and traced as LWGPreInstallDrop so checkers surface the gap.
-	MaxPreInstall int
-}
+	maxPreInstall = 1024
+)
 
 // DefaultConfig returns timers sized for the simulated testbed. The
 // policy interval defaults to the paper's one minute.
 func DefaultConfig() Config {
 	return Config{
-		PolicyInterval:      time.Minute,
-		Policy:              policy.DefaultParams(),
-		LwgFlushTimeout:     400 * time.Millisecond,
-		JoinRetryInterval:   200 * time.Millisecond,
-		LwgJoinTimeout:      700 * time.Millisecond,
-		SwitchRetryInterval: 250 * time.Millisecond,
-		NSRetryInterval:     250 * time.Millisecond,
-		ShrinkAfter:         2 * time.Second,
+		PolicyInterval: time.Minute,
+		Policy:         policy.DefaultParams(),
 
 		MappingRefreshInterval: 15 * time.Second,
 
 		MaxBatchBytes: 8 * 1024,
 		MaxBatchDelay: 500 * time.Microsecond,
-
-		MaxPreInstall: 1024,
 	}
 }
 
@@ -137,24 +134,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.PolicyInterval <= 0 {
 		c.PolicyInterval = d.PolicyInterval
-	}
-	if c.LwgFlushTimeout <= 0 {
-		c.LwgFlushTimeout = d.LwgFlushTimeout
-	}
-	if c.JoinRetryInterval <= 0 {
-		c.JoinRetryInterval = d.JoinRetryInterval
-	}
-	if c.LwgJoinTimeout <= 0 {
-		c.LwgJoinTimeout = d.LwgJoinTimeout
-	}
-	if c.SwitchRetryInterval <= 0 {
-		c.SwitchRetryInterval = d.SwitchRetryInterval
-	}
-	if c.NSRetryInterval <= 0 {
-		c.NSRetryInterval = d.NSRetryInterval
-	}
-	if c.ShrinkAfter <= 0 {
-		c.ShrinkAfter = d.ShrinkAfter
 	}
 	if c.MappingRefreshInterval <= 0 {
 		c.MappingRefreshInterval = d.MappingRefreshInterval
@@ -164,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchDelay <= 0 {
 		c.MaxBatchDelay = d.MaxBatchDelay
-	}
-	if c.MaxPreInstall <= 0 {
-		c.MaxPreInstall = d.MaxPreInstall
 	}
 	return c
 }
@@ -179,7 +155,6 @@ type Params struct {
 	Servers []ids.ProcessID
 	Config  Config
 	Vsync   vsync.Config
-	Naming  naming.Config
 	Upcalls Upcalls
 	Tracer  trace.Tracer
 	// Metrics receives the endpoint's (and the underlying stacks')
@@ -320,7 +295,6 @@ func New(p Params, mux *netsim.Mux) *Endpoint {
 		Net:     p.Net,
 		PID:     p.PID,
 		Servers: p.Servers,
-		Config:  p.Naming,
 		Metrics: p.Metrics,
 	})
 	mux.Handle(vsync.AddrPrefix, e.hwg.HandleMessage)
@@ -360,9 +334,6 @@ func (e *Endpoint) updateGauges() {
 // HWGStack exposes the underlying heavy-weight group stack (read-only
 // introspection for tests and tools).
 func (e *Endpoint) HWGStack() *vsync.Stack { return e.hwg }
-
-// NamingClient exposes the endpoint's naming client.
-func (e *Endpoint) NamingClient() *naming.Client { return e.ns }
 
 // LWGView returns the process's current view of the light-weight group.
 func (e *Endpoint) LWGView(lwg ids.LWGID) (ids.View, bool) {

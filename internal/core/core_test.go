@@ -94,7 +94,6 @@ func newCWorldVS(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, ns
 			Servers: serverPids,
 			Config:  cfg,
 			Vsync:   vsCfg,
-			Naming:  nsCfg,
 			Upcalls: rec,
 			Tracer:  w.tracer,
 			Metrics: w.reg,
@@ -589,9 +588,7 @@ func TestInterferenceRuleSwitch(t *testing.T) {
 }
 
 func TestShrinkRuleLeavesEmptyHWG(t *testing.T) {
-	cfg := testCfg()
-	cfg.ShrinkAfter = 500 * time.Millisecond
-	w := newCWorld(t, 4, []ids.ProcessID{0}, cfg)
+	w := newCWorld(t, 4, []ids.ProcessID{0}, testCfg())
 	for _, p := range []ids.ProcessID{1, 2} {
 		if err := w.eps[p].Join("a"); err != nil {
 			t.Fatal(err)
@@ -604,8 +601,8 @@ func TestShrinkRuleLeavesEmptyHWG(t *testing.T) {
 	_ = w.eps[2].Leave("a")
 	w.run(2 * time.Second)
 	w.runPolicyEverywhere()
-	w.run(time.Second)
-	w.runPolicyEverywhere() // second pass: past ShrinkAfter
+	w.run(shrinkAfter)
+	w.runPolicyEverywhere() // second pass: past shrinkAfter
 	w.run(2 * time.Second)
 	for _, p := range []ids.ProcessID{1, 2} {
 		for _, g := range w.eps[p].HWGs() {

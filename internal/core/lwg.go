@@ -254,7 +254,7 @@ func (m *lwgMember) resolveMapping() {
 			return
 		}
 		if !ok {
-			m.nsTimer = e.clock.After(e.cfg.NSRetryInterval, m.resolveMapping)
+			m.nsTimer = e.clock.After(nsRetryInterval, m.resolveMapping)
 			return
 		}
 		if len(entries) > 0 {
@@ -292,7 +292,7 @@ func (m *lwgMember) proposeMapping() {
 			return
 		}
 		if !ok {
-			m.nsTimer = e.clock.After(e.cfg.NSRetryInterval, m.resolveMapping)
+			m.nsTimer = e.clock.After(nsRetryInterval, m.resolveMapping)
 			return
 		}
 		won := false
@@ -321,16 +321,16 @@ func (m *lwgMember) proposeMapping() {
 func (m *lwgMember) targetHWG(gid ids.HWGID) {
 	e := m.e
 	if gid == ids.NoHWG {
-		m.nsTimer = e.clock.After(e.cfg.NSRetryInterval, m.resolveMapping)
+		m.nsTimer = e.clock.After(nsRetryInterval, m.resolveMapping)
 		return
 	}
 	m.hwg = gid
 	m.state = lwgJoining
 	e.trace("join", "%s: mapped on %v, requesting admission", m.id, gid)
 	m.ensureHWGMembership(gid, false)
-	m.joinTicker = e.clock.Every(e.cfg.JoinRetryInterval, m.sendJoinReq)
+	m.joinTicker = e.clock.Every(joinRetryInterval, m.sendJoinReq)
 	m.sendJoinReq()
-	m.joinTimer = e.clock.After(e.cfg.LwgJoinTimeout, m.joinTimedOut)
+	m.joinTimer = e.clock.After(lwgJoinTimeout, m.joinTimedOut)
 }
 
 func (m *lwgMember) ensureHWGMembership(gid ids.HWGID, fresh bool) {
@@ -441,8 +441,14 @@ func (m *lwgMember) onLeaveReq(from ids.ProcessID) {
 
 // maybeLwgReconfig runs the LWG join/leave protocol: a LWG-level flush
 // (lwgStop / lwgFlushOk among the LWG's members only) followed by the new
-// view announcement. The totally ordered HWG multicast guarantees every
-// member closes the old view on the same message set.
+// view announcement. The HWG multicast is per-sender FIFO (OrderingFIFO by
+// default), so each member's old-view data precedes its lwgFlushOk and
+// the coordinator has delivered all of it before it sends lwgView. That
+// every other member also delivers that data before lwgView is not an HWG
+// guarantee: it holds because the network hands every receiver the frames
+// in one order (the simulated shared bus). Data lost at one member and
+// repaired after lwgView arrives is dropped there as an ancestor-view
+// message (onLwgData) — ROADMAP direction 5.
 func (m *lwgMember) maybeLwgReconfig() {
 	e := m.e
 	if m.state != lwgActive || m.fl != nil {
@@ -547,7 +553,7 @@ func (m *lwgMember) flushExpected() ids.Members {
 
 func (m *lwgMember) armLwgFlushTimer() {
 	fl := m.fl
-	fl.timer = m.e.clock.After(m.e.cfg.LwgFlushTimeout, func() {
+	fl.timer = m.e.clock.After(lwgFlushTimeout, func() {
 		if m.fl != fl {
 			return
 		}
@@ -687,7 +693,7 @@ func (m *lwgMember) armLeaveTicker() {
 		}
 	}
 	send()
-	m.leaveTicker = e.clock.Every(e.cfg.JoinRetryInterval, send)
+	m.leaveTicker = e.clock.Every(joinRetryInterval, send)
 }
 
 // deleteMapping tombstones the LWG view in the naming service, retrying a
@@ -703,7 +709,7 @@ func (e *Endpoint) deleteMapping(lwg ids.LWGID, view ids.ViewID) {
 		e.ns.Delete(lwg, view, ver, func(_ []naming.Entry, ok bool) {
 			if !ok && attempt < 5 {
 				attempt++
-				e.clock.After(e.cfg.NSRetryInterval, try)
+				e.clock.After(nsRetryInterval, try)
 			}
 		})
 	}
@@ -860,7 +866,7 @@ func (e *Endpoint) updateMapping(m *lwgMember) {
 		if ok {
 			return
 		}
-		e.clock.After(e.cfg.NSRetryInterval, func() {
+		e.clock.After(nsRetryInterval, func() {
 			if cur, live := e.lwgs[m.id]; live && cur == m &&
 				m.view.ID == viewAtWrite && m.hwg == hwgAtWrite && m.isCoordinator() {
 				e.updateMapping(m)

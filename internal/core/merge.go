@@ -218,7 +218,7 @@ func (m *lwgMember) deliverData(src ids.ProcessID, msg *lwgData) {
 }
 
 // bufferPreInstall queues data received under a view not yet installed
-// for replay at install time. Config.MaxPreInstall bounds the buffer; a
+// for replay at install time. maxPreInstall bounds the buffer; a
 // member that falls further behind sheds the oldest message (the most
 // likely to be superseded by the time a view installs). Shedding is never
 // silent: the drop is counted (core_preinstall_drops_total) and traced as
@@ -227,7 +227,7 @@ func (m *lwgMember) deliverData(src ids.ProcessID, msg *lwgData) {
 // benign races this buffer exists to absorb.
 func (m *lwgMember) bufferPreInstall(src ids.ProcessID, msg *lwgData) {
 	e := m.e
-	if len(m.preInstall) >= e.cfg.MaxPreInstall {
+	if len(m.preInstall) >= maxPreInstall {
 		dropped := m.preInstall[0]
 		m.preInstall = m.preInstall[1:]
 		e.ins.preinstallDrops.Inc()
@@ -238,7 +238,7 @@ func (m *lwgMember) bufferPreInstall(src ids.ProcessID, msg *lwgData) {
 			Src:   dropped.src,
 			Data:  string(dropped.msg.Data),
 			Text: fmt.Sprintf("%s: pre-install buffer full (%d), shed %q from %v in %v",
-				m.id, e.cfg.MaxPreInstall, dropped.msg.Data, dropped.src, dropped.msg.View),
+				m.id, maxPreInstall, dropped.msg.Data, dropped.src, dropped.msg.View),
 		})
 	}
 	m.preInstall = append(m.preInstall, pendingData{src: src, msg: msg})
@@ -765,7 +765,7 @@ func (m *lwgMember) beginSwitchMember(target ids.HWGID) {
 		m.switchTicker.Stop()
 	}
 	attempts := 0
-	m.switchTicker = e.clock.Every(e.cfg.SwitchRetryInterval, func() {
+	m.switchTicker = e.clock.Every(switchRetryInterval, func() {
 		// A shrink-rule leave of the target that was in flight when the
 		// switch instruction arrived makes the IsMember check above pass
 		// and then drops this process off the target once the leave

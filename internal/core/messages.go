@@ -99,10 +99,10 @@ type lwgFlushOk struct {
 // WireSize implements vsync.Payload.
 func (m *lwgFlushOk) WireSize() int { return 24 }
 
-// lwgView installs a LWG view (after a join, leave, or switch): because
-// the underlying HWG multicast is totally ordered and reliable within the
-// HWG view, receiving the view message after the flush closes the old
-// view consistently at every member.
+// lwgView installs a LWG view (after a join, leave, or switch). It follows
+// the LWG flush, so it closes the old view on the same message set at
+// every member only as far as the HWG delivers it after the members'
+// old-view data (see maybeLwgReconfig).
 type lwgView struct {
 	Rec viewRecord
 	// HWG is the heavy-weight group the view is (now) mapped on.

@@ -86,7 +86,7 @@ func (e *Endpoint) applyShareRule(known []policy.HWG) {
 }
 
 // applyShrinkRule leaves HWGs that have had no local LWG mapped on them
-// for ShrinkAfter (Figure 1's shrink rule); a HWG abandoned by everyone
+// for shrinkAfter (Figure 1's shrink rule); a HWG abandoned by everyone
 // thereby disappears.
 func (e *Endpoint) applyShrinkRule() {
 	now := e.clock.Now()
@@ -106,7 +106,7 @@ func (e *Endpoint) applyShrinkRule() {
 			}
 			continue
 		}
-		if now.Sub(st.emptySince) >= e.cfg.ShrinkAfter {
+		if now.Sub(st.emptySince) >= shrinkAfter {
 			e.trace("policy", "shrink rule: leaving %v", gid)
 			_ = e.hwg.Leave(gid)
 			delete(e.hwgs, gid)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,9 +16,7 @@ import (
 // finding. Before this, an overflow silently dropped view-tagged data —
 // a delivery gap indistinguishable from a correct run.
 func TestPreInstallOverflowIsLoud(t *testing.T) {
-	cfg := testCfg()
-	cfg.MaxPreInstall = 2
-	w := newCWorld(t, 2, []ids.ProcessID{0}, cfg)
+	w := newCWorld(t, 2, []ids.ProcessID{0}, testCfg())
 	if err := w.eps[1].Join("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -28,17 +27,14 @@ func TestPreInstallOverflowIsLoud(t *testing.T) {
 	}
 
 	// Data tagged with a view p1 never installed (a concurrent view from
-	// the far side of a partition) is buffered for replay. Three such
-	// messages against a cap of two must shed the oldest, loudly.
-	ghost := ids.ViewID{Coord: 1, Seq: m.view.ID.Seq + 1000}
-	for _, payload := range []string{"m1", "m2", "m3"} {
-		m.bufferPreInstall(1, &lwgData{LWG: "a", View: ghost, Data: []byte(payload)})
-	}
+	// the far side of a partition) is buffered for replay. One message
+	// past the cap must shed the oldest, loudly.
+	bufferGhosts(m, maxPreInstall+1)
 	if got := w.eps[1].ins.preinstallDrops.Value(); got != 1 {
 		t.Fatalf("core_preinstall_drops_total = %d, want 1", got)
 	}
-	if got := w.eps[1].PreInstallBuffered("a"); got != 2 {
-		t.Fatalf("buffered = %d, want 2 (the cap)", got)
+	if got := w.eps[1].PreInstallBuffered("a"); got != maxPreInstall {
+		t.Fatalf("buffered = %d, want %d (the cap)", got, maxPreInstall)
 	}
 
 	vs := check.Overflow(w.tracer.Events)
@@ -70,22 +66,25 @@ func TestPreInstallOverflowIsLoud(t *testing.T) {
 
 // TestPreInstallNoFalseOverflow: staying within the bound sheds nothing.
 func TestPreInstallNoFalseOverflow(t *testing.T) {
-	cfg := testCfg()
-	cfg.MaxPreInstall = 4
-	w := newCWorld(t, 2, []ids.ProcessID{0}, cfg)
+	w := newCWorld(t, 2, []ids.ProcessID{0}, testCfg())
 	if err := w.eps[1].Join("a"); err != nil {
 		t.Fatal(err)
 	}
 	w.run(2 * time.Second)
-	m := w.eps[1].lwgs["a"]
-	ghost := ids.ViewID{Coord: 1, Seq: m.view.ID.Seq + 1000}
-	for _, payload := range []string{"m1", "m2", "m3"} {
-		m.bufferPreInstall(1, &lwgData{LWG: "a", View: ghost, Data: []byte(payload)})
-	}
+	bufferGhosts(w.eps[1].lwgs["a"], maxPreInstall)
 	if got := w.eps[1].ins.preinstallDrops.Value(); got != 0 {
 		t.Fatalf("core_preinstall_drops_total = %d, want 0", got)
 	}
 	if vs := check.Overflow(w.tracer.Events); len(vs) != 0 {
 		t.Fatalf("unexpected violations:\n%s", check.Summary(vs))
+	}
+}
+
+// bufferGhosts buffers n messages m1..mn tagged with a view m never
+// installed.
+func bufferGhosts(m *lwgMember, n int) {
+	ghost := ids.ViewID{Coord: 1, Seq: m.view.ID.Seq + 1000}
+	for i := 1; i <= n; i++ {
+		m.bufferPreInstall(1, &lwgData{LWG: "a", View: ghost, Data: []byte(fmt.Sprintf("m%d", i))})
 	}
 }

@@ -351,7 +351,7 @@ func (e *engine) stop() bool {
 	if e.cfg.Budget > 0 && e.sliceRuns >= e.cfg.Budget {
 		return true
 	}
-	return len(e.res.Findings) >= e.cfg.MaxFindings
+	return len(e.res.Findings) >= maxFindings
 }
 
 // expand is the worker side: speculative, side-effect-free (shared sets

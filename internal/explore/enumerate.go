@@ -141,6 +141,11 @@ func (sc Scope) schedule(ops []Op) Schedule {
 	}
 }
 
+// maxFindings stops the sweep after this many failures; a real wedge
+// tends to recur in every successor state, and the findings get shrunk
+// anyway.
+const maxFindings = 8
+
 // EnumConfig configures one enumeration sweep.
 type EnumConfig struct {
 	Scope Scope
@@ -150,10 +155,6 @@ type EnumConfig struct {
 	// costs one execution (re-run plus liveness probe). 0 = unbounded;
 	// the sweep then runs until the state graph closes.
 	Budget int
-	// MaxFindings stops the sweep after this many failures (default 8);
-	// a real wedge tends to recur in every successor state, and the
-	// findings get shrunk anyway.
-	MaxFindings int
 	// Par is the expansion worker count (default 1 = serial). Results are
 	// identical at every value; higher values only change wall time.
 	Par int
@@ -181,9 +182,6 @@ type EnumConfig struct {
 func (c EnumConfig) withDefaults() EnumConfig {
 	if c.Depth <= 0 {
 		c.Depth = 12
-	}
-	if c.MaxFindings <= 0 {
-		c.MaxFindings = 8
 	}
 	if c.Par <= 0 {
 		c.Par = 1
@@ -250,7 +248,7 @@ func Enumerate(cfg EnumConfig) EnumResult {
 	e.setRate()
 	remaining := len(e.queue) - e.nextConsume
 	e.mFrontier.Set(int64(remaining))
-	e.res.Swept = remaining == 0 && len(e.res.Findings) < cfg.MaxFindings
+	e.res.Swept = remaining == 0 && len(e.res.Findings) < maxFindings
 	if !e.res.Swept {
 		cp := &Checkpoint{
 			Scope:     cfg.Scope,

@@ -84,7 +84,6 @@ func newWorld(s Schedule) *world {
 			PID:     pid,
 			Servers: serverPids,
 			Config:  cfg,
-			Naming:  nsCfg,
 			Upcalls: nopUpcalls{},
 			Tracer:  w.tracer,
 		}, mux)

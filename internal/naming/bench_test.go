@@ -18,7 +18,7 @@ func benchSeedGroups(db *DB, groups int) {
 // between two servers with 256 groups, one of which changed: the
 // steady-state reconcile cost of the naming service.
 func BenchmarkAntiEntropyRound(b *testing.B) {
-	w := newSrvWorld(b, 2, Config{MappingTTL: -1, SyncInterval: time.Hour, MaxIdleSkips: -1})
+	w := newSrvWorld(b, 2, Config{MappingTTL: -1}, false)
 	const groups = 256
 	benchSeedGroups(w.servers[0].DB(), groups)
 	benchSeedGroups(w.servers[1].DB(), groups)

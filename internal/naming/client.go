@@ -11,15 +11,15 @@ import (
 
 // Client is a process's naming-service access point. Requests go to the
 // configured servers in order; a server that does not answer within
-// RequestTimeout (crashed, or in another partition) is skipped and the
+// requestTimeout (crashed, or in another partition) is skipped and the
 // next one is tried — "there is a high probability of having at least one
 // server available at each partition" (Section 5.2). After a full
 // unanswered pass over the server list the client pauses for a jittered,
-// exponentially-growing backoff (RetryBackoff doubling up to
-// RetryBackoffMax) and sweeps the list again; only after RetryRounds
-// such passes does the operation complete with ok == false and leave
-// further retries to the caller. Under transient loss or a short
-// partition this rides out the outage instead of failing eagerly.
+// exponentially-growing backoff (retryBackoff doubling per round) and
+// sweeps the list again; only after retryRounds such passes does the
+// operation complete with ok == false and leave further retries to the
+// caller. Under transient loss or a short partition this rides out the
+// outage instead of failing eagerly.
 //
 // All operations are asynchronous: the simulation is single-threaded, so
 // results arrive through callbacks.
@@ -27,7 +27,6 @@ type Client struct {
 	pid     ids.ProcessID
 	net     netsim.Transport
 	clock   *sim.Sim
-	cfg     Config
 	servers []ids.ProcessID
 
 	nextReq uint64
@@ -40,12 +39,11 @@ type Client struct {
 }
 
 type pendingReq struct {
-	req     *msgRequest
-	cb      func([]Entry, bool)
-	tried   int // servers tried in the current round
-	sIndex  int
-	rounds  int           // full passes over the server list so far
-	backoff time.Duration // pause before the next round (grows per round)
+	req    *msgRequest
+	cb     func([]Entry, bool)
+	tried  int // servers tried in the current round
+	sIndex int
+	rounds int // full passes over the server list so far
 	// timer is the single outstanding clock entry for this request —
 	// either a per-attempt timeout or an inter-round backoff sleep. It is
 	// stopped when the reply lands so no dead timer stays queued.
@@ -57,7 +55,6 @@ type ClientParams struct {
 	Net     netsim.Transport
 	PID     ids.ProcessID
 	Servers []ids.ProcessID
-	Config  Config
 	// Metrics receives the client's request/retry/failure counters; nil
 	// disables them.
 	Metrics *metrics.Registry
@@ -70,7 +67,6 @@ func NewClient(p ClientParams) *Client {
 		pid:       p.PID,
 		net:       p.Net,
 		clock:     p.Net.Sim(),
-		cfg:       p.Config.withDefaults(),
 		servers:   append([]ids.ProcessID(nil), p.Servers...),
 		pending:   make(map[uint64]*pendingReq),
 		cRequests: p.Metrics.Counter("ns_client_requests_total"),
@@ -193,8 +189,7 @@ func (c *Client) issue(req *msgRequest, cb func([]Entry, bool)) {
 	// spread: indexed by pid) so load distributes across replicas.
 	p := &pendingReq{
 		req: req, cb: cb,
-		sIndex:  int(c.pid) % len(c.servers),
-		backoff: c.cfg.RetryBackoff,
+		sIndex: int(c.pid) % len(c.servers),
 	}
 	c.pending[req.ReqID] = p
 	c.sendAttempt(p)
@@ -203,7 +198,7 @@ func (c *Client) issue(req *msgRequest, cb func([]Entry, bool)) {
 func (c *Client) sendAttempt(p *pendingReq) {
 	server := c.servers[p.sIndex%len(c.servers)]
 	c.net.Unicast(c.pid, server, ServerPrefix, p.req)
-	p.timer = c.clock.After(c.cfg.RequestTimeout, func() {
+	p.timer = c.clock.After(requestTimeout, func() {
 		if _, live := c.pending[p.req.ReqID]; !live {
 			return
 		}
@@ -217,7 +212,7 @@ func (c *Client) sendAttempt(p *pendingReq) {
 		// A full pass over the server list went unanswered.
 		p.tried = 0
 		p.rounds++
-		if p.rounds >= c.cfg.RetryRounds {
+		if p.rounds >= retryRounds {
 			delete(c.pending, p.req.ReqID)
 			p.timer = nil
 			c.cFailures.Inc()
@@ -227,13 +222,9 @@ func (c *Client) sendAttempt(p *pendingReq) {
 		// Back off before the next pass: exponential with jitter (up to
 		// +50%) so a herd of clients re-converging after a heal does not
 		// resweep the servers in lockstep.
-		pause := p.backoff
+		pause := retryBackoff << (p.rounds - 1)
 		if jit := int64(pause / 2); jit > 0 {
 			pause += time.Duration(c.clock.Rand().Int63n(jit))
-		}
-		p.backoff *= 2
-		if p.backoff > c.cfg.RetryBackoffMax {
-			p.backoff = c.cfg.RetryBackoffMax
 		}
 		p.timer = c.clock.After(pause, func() {
 			if _, live := c.pending[p.req.ReqID]; !live {

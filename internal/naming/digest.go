@@ -131,7 +131,7 @@ func (db *DB) DigestVector() []LWGDigest {
 // Hash returns a single summary hash over the whole database (the sorted
 // digest vector). Two replicas with equal hashes store the same entries,
 // up to 64-bit collision; anti-entropy uses it as the cheap first-round
-// probe and relies on the periodic forced exchange (Config.MaxIdleSkips)
+// probe and relies on the periodic forced exchange (maxIdleSkips)
 // to bound the damage of a collision.
 func (db *DB) Hash() uint64 {
 	if db.dbHashOK {

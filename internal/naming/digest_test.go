@@ -12,7 +12,10 @@ import (
 )
 
 // srvWorld is a cluster of name servers only (no clients): the fixture
-// for anti-entropy protocol tests. All nodes run a server.
+// for anti-entropy protocol tests. All nodes run a server. Started
+// servers run a background round every syncInterval; tests that drive
+// rounds by hand leave them unstarted so no background round mixes into
+// the counts they isolate.
 type srvWorld struct {
 	t       testing.TB
 	s       *sim.Sim
@@ -20,7 +23,7 @@ type srvWorld struct {
 	servers []*Server
 }
 
-func newSrvWorld(t testing.TB, n int, cfg Config) *srvWorld {
+func newSrvWorld(t testing.TB, n int, cfg Config, start bool) *srvWorld {
 	t.Helper()
 	s := sim.New(7)
 	nw := netsim.New(s, netsim.DefaultParams())
@@ -34,7 +37,9 @@ func newSrvWorld(t testing.TB, n int, cfg Config) *srvWorld {
 		mux := netsim.NewMux()
 		mux.Handle(ServerPrefix, srv.HandleMessage)
 		nw.AddNode(pid, mux.Handler())
-		srv.Start()
+		if start {
+			srv.Start()
+		}
 		w.servers = append(w.servers, srv)
 	}
 	return w
@@ -168,7 +173,7 @@ func TestDigestDiff(t *testing.T) {
 // TestDigestSyncConverges seeds each server with distinct state and runs
 // digest/delta anti-entropy until every replica stores the same database.
 func TestDigestSyncConverges(t *testing.T) {
-	w := newSrvWorld(t, 4, Config{MappingTTL: -1})
+	w := newSrvWorld(t, 4, Config{MappingTTL: -1}, true)
 	rng := rand.New(rand.NewSource(9))
 	for i, srv := range w.servers {
 		for j := 0; j < 10+i; j++ {
@@ -184,9 +189,9 @@ func TestDigestSyncConverges(t *testing.T) {
 }
 
 // TestIdleSkipSuppressesTraffic checks that converged, quiescent servers
-// stop probing (up to the forced re-verification every MaxIdleSkips).
+// stop probing (up to the forced re-verification every maxIdleSkips).
 func TestIdleSkipSuppressesTraffic(t *testing.T) {
-	w := newSrvWorld(t, 2, Config{MappingTTL: -1})
+	w := newSrvWorld(t, 2, Config{MappingTTL: -1}, true)
 	w.servers[0].DB().Put(Entry{LWG: "a", View: vid(1, 1), HWG: 1, Ver: 1})
 	w.s.RunFor(3 * time.Second)
 	w.requireConverged()
@@ -195,12 +200,12 @@ func TestIdleSkipSuppressesTraffic(t *testing.T) {
 	for _, srv := range w.servers {
 		srv.ResetSyncStats()
 	}
-	const rounds = 32 // per server, at 300ms sync interval over ~9.6s
-	w.s.RunFor(time.Duration(rounds) * 300 * time.Millisecond)
+	const rounds = 32 // per server, over ~9.6s
+	w.s.RunFor(time.Duration(rounds) * syncInterval)
 	st := w.nw.Stats()
-	// Each forced probe (every MaxIdleSkips=8 rounds + 1) costs one
+	// Each forced probe (every maxIdleSkips rounds + 1) costs one
 	// probe and one empty ack; everything else must be skipped.
-	maxFrames := int64(2*(rounds/8+2)) * 2 // both servers probe
+	maxFrames := int64(2*(rounds/maxIdleSkips+2)) * 2 // both servers probe
 	frames := st.ByKind["naming-digest"] + st.ByKind["naming-delta"]
 	if frames > maxFrames {
 		t.Fatalf("idle traffic %d frames exceeds bound %d (%v)", frames, maxFrames, st.ByKind)
@@ -214,8 +219,8 @@ func TestIdleSkipSuppressesTraffic(t *testing.T) {
 // TestDeltaShipsOnlyChangedGroups converges two servers on many groups,
 // changes one, and checks the next exchange ships exactly that group.
 func TestDeltaShipsOnlyChangedGroups(t *testing.T) {
-	// Long sync interval: the test drives rounds by hand.
-	w := newSrvWorld(t, 2, Config{MappingTTL: -1, SyncInterval: time.Hour})
+	// Unstarted: the test drives rounds by hand.
+	w := newSrvWorld(t, 2, Config{MappingTTL: -1}, false)
 	for i := 0; i < 50; i++ {
 		e := Entry{
 			LWG:  ids.LWGID(string(rune('a'+i%26)) + string(rune('a'+i/26))),
@@ -249,7 +254,7 @@ func TestDeltaShipsOnlyChangedGroups(t *testing.T) {
 // is dropped and counted, nothing of any kind is sent back, and the
 // database is untouched.
 func TestDigestVersionFallback(t *testing.T) {
-	w := newSrvWorld(t, 2, Config{MappingTTL: -1, SyncInterval: time.Hour})
+	w := newSrvWorld(t, 2, Config{MappingTTL: -1}, false)
 	w.servers[0].DB().Put(Entry{LWG: "a", View: vid(1, 1), HWG: 1, Ver: 1})
 	w.servers[1].DB().Put(Entry{LWG: "b", View: vid(2, 1), HWG: 2, Ver: 1})
 	before := w.servers[1].DB().All()
@@ -278,7 +283,7 @@ func TestDigestVersionFallback(t *testing.T) {
 // TestDirtySetConflictChecks verifies a merge re-examines only the
 // groups it changed, not the whole database.
 func TestDirtySetConflictChecks(t *testing.T) {
-	w := newSrvWorld(t, 2, Config{MappingTTL: -1, SyncInterval: time.Hour})
+	w := newSrvWorld(t, 2, Config{MappingTTL: -1}, false)
 	srv := w.servers[0]
 	for i := 0; i < 40; i++ {
 		srv.DB().Put(Entry{
@@ -304,7 +309,7 @@ func TestDirtySetConflictChecks(t *testing.T) {
 // TestDigestHealConvergence partitions four servers, lets both sides
 // diverge, heals, and requires full convergence under digest/delta sync.
 func TestDigestHealConvergence(t *testing.T) {
-	w := newSrvWorld(t, 4, Config{MappingTTL: -1})
+	w := newSrvWorld(t, 4, Config{MappingTTL: -1}, true)
 	w.s.RunFor(time.Second)
 	w.nw.SetPartitions([]netsim.NodeID{0, 1}, []netsim.NodeID{2, 3})
 	rng := rand.New(rand.NewSource(11))

@@ -42,7 +42,7 @@ const equivSpan = 15 * time.Second
 // database. The scenario is fully deterministic for a given (cfg, ops).
 func runEquivScenario(t *testing.T, cfg Config, ops []nsOp) [][]Entry {
 	t.Helper()
-	w := newSrvWorld(t, 4, cfg)
+	w := newSrvWorld(t, 4, cfg, true)
 	for _, op := range ops {
 		op := op
 		w.s.After(op.at, func() { w.servers[op.server].DB().Put(op.entry) })

@@ -175,89 +175,51 @@ var (
 	_ netsim.Message = (*MsgMultipleMappings)(nil)
 )
 
-// Config holds the naming-service timers.
+// Config holds the naming-service lease.
 type Config struct {
-	// RequestTimeout bounds one client request to one server before the
-	// client fails over to the next server.
-	RequestTimeout time.Duration
-	// SyncInterval is the anti-entropy period between servers.
-	SyncInterval time.Duration
-	// NotifyInterval is the period at which persisting conflicts are
-	// re-announced to the affected view coordinators.
-	NotifyInterval time.Duration
 	// MappingTTL is the mapping lease: entries not refreshed within the
 	// TTL are expired (collects mappings of views whose members all
 	// crashed). Zero disables expiry. Coordinators refresh on
 	// core.Config.MappingRefreshInterval, which must be well below this.
 	MappingTTL time.Duration
-	// RetryBackoff is the pause after one full unanswered pass over the
+}
+
+// Naming-service timers, sized for the simulated testbed.
+const (
+	// requestTimeout bounds one client request to one server before the
+	// client fails over to the next server.
+	requestTimeout = 150 * time.Millisecond
+	// syncInterval is the anti-entropy period between servers.
+	syncInterval = 300 * time.Millisecond
+	// notifyInterval is the period at which persisting conflicts are
+	// re-announced to the affected view coordinators.
+	notifyInterval = 500 * time.Millisecond
+	// retryBackoff is the pause after one full unanswered pass over the
 	// server list before the client starts the next pass. It doubles per
-	// round (with jitter) up to RetryBackoffMax.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff.
-	RetryBackoffMax time.Duration
-	// RetryRounds is how many full passes over the server list a request
+	// round (with jitter).
+	retryBackoff = 200 * time.Millisecond
+	// retryRounds is how many full passes over the server list a request
 	// survives before it completes with ok == false. Under sustained
 	// loss a single pass (the old behavior) fails far too eagerly.
-	RetryRounds int
-	// MaxIdleSkips bounds how many consecutive rounds a server may skip
+	retryRounds = 4
+	// maxIdleSkips bounds how many consecutive rounds a server may skip
 	// probing a peer it already reconciled with while its own generation
 	// is unchanged. The periodic forced probe re-verifies convergence,
 	// bounding the exposure to lost acks or a summary-hash collision.
-	// Zero means the default (8); negative disables skipping entirely.
-	MaxIdleSkips int
-}
+	maxIdleSkips = 8
+)
 
-// DefaultConfig returns timers sized for the simulated testbed.
+// DefaultConfig returns the lease sized for the simulated testbed.
 func DefaultConfig() Config {
-	return Config{
-		RequestTimeout:  150 * time.Millisecond,
-		SyncInterval:    300 * time.Millisecond,
-		NotifyInterval:  500 * time.Millisecond,
-		MappingTTL:      60 * time.Second,
-		RetryBackoff:    200 * time.Millisecond,
-		RetryBackoffMax: 3 * time.Second,
-		RetryRounds:     4,
-	}
+	return Config{MappingTTL: 60 * time.Second}
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = d.RequestTimeout
-	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = d.SyncInterval
-	}
-	if c.NotifyInterval <= 0 {
-		c.NotifyInterval = d.NotifyInterval
-	}
 	if c.MappingTTL == 0 {
-		c.MappingTTL = d.MappingTTL
+		c.MappingTTL = DefaultConfig().MappingTTL
 	}
 	if c.MappingTTL < 0 {
 		c.MappingTTL = 0 // explicit "disabled"
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = d.RetryBackoff
-	}
-	if c.RetryBackoffMax < c.RetryBackoff {
-		c.RetryBackoffMax = d.RetryBackoffMax
-		if c.RetryBackoffMax < c.RetryBackoff {
-			c.RetryBackoffMax = c.RetryBackoff
-		}
-	}
-	if c.RetryRounds == 0 {
-		c.RetryRounds = d.RetryRounds
-	}
-	if c.RetryRounds < 1 {
-		c.RetryRounds = 1 // a negative value means "single pass"
-	}
-	if c.MaxIdleSkips == 0 {
-		c.MaxIdleSkips = 8
-	}
-	if c.MaxIdleSkips < 0 {
-		c.MaxIdleSkips = 0 // explicit "never skip"
 	}
 	return c
 }

@@ -32,33 +32,28 @@ func (b *blackholeNet) Unicast(_, to netsim.NodeID, _ netsim.Addr, msg netsim.Me
 	}
 }
 
-func newRetryClient(nServers int, net *blackholeNet, cfg Config) *Client {
+func newRetryClient(nServers int, net *blackholeNet) *Client {
 	servers := make([]ids.ProcessID, nServers)
 	for i := range servers {
 		servers[i] = ids.ProcessID(i)
 	}
-	return NewClient(ClientParams{Net: net, PID: 9, Servers: servers, Config: cfg})
+	return NewClient(ClientParams{Net: net, PID: 9, Servers: servers})
 }
 
 // TestRetrySweepsServerListWithBackoff: with every server silent, the
 // client must sweep the full list once per round, pause between rounds,
-// and only give up after RetryRounds rounds.
+// and only give up after retryRounds rounds.
 func TestRetrySweepsServerListWithBackoff(t *testing.T) {
 	s := sim.New(1)
 	net := &blackholeNet{s: s}
-	cfg := Config{
-		RequestTimeout: 100 * time.Millisecond,
-		RetryBackoff:   200 * time.Millisecond,
-		RetryRounds:    3,
-	}
-	c := newRetryClient(2, net, cfg)
+	c := newRetryClient(2, net)
 
 	done, ok := false, true
 	c.ReadLive("a", func(_ []Entry, o bool) { done, ok = true, o })
 
-	// Round 1 (2 servers × 100ms) ends by t=200ms; the old code failed
-	// permanently right there.
-	s.RunFor(250 * time.Millisecond)
+	// Round 1 (2 servers × requestTimeout) ends by t=300ms; the old code
+	// failed permanently right there.
+	s.RunFor(2*requestTimeout + 50*time.Millisecond)
 	if done {
 		t.Fatal("request gave up after a single pass over the server list")
 	}
@@ -66,24 +61,24 @@ func TestRetrySweepsServerListWithBackoff(t *testing.T) {
 		t.Fatalf("round 1 sent %d attempts, want 2", len(net.sent))
 	}
 
-	// With backoff 200ms (+ up to 50% jitter, doubling, capped) and two
-	// more rounds, everything is over well inside 3 seconds.
-	s.RunFor(3 * time.Second)
+	// With backoff 200ms (+ up to 50% jitter, doubling) and three more
+	// rounds, everything is over well inside 5 seconds.
+	s.RunFor(5 * time.Second)
 	if !done {
 		t.Fatal("request never completed")
 	}
 	if ok {
 		t.Fatal("request reported success with every server silent")
 	}
-	if len(net.sent) != 6 {
-		t.Fatalf("sent %d attempts total, want 3 rounds × 2 servers = 6", len(net.sent))
+	if len(net.sent) != retryRounds*2 {
+		t.Fatalf("sent %d attempts total, want %d rounds × 2 servers", len(net.sent), retryRounds)
 	}
 	// The sweep must rotate through both servers each round.
 	seen := map[ids.ProcessID]int{}
 	for _, to := range net.sent {
 		seen[to]++
 	}
-	if seen[0] != 3 || seen[1] != 3 {
+	if seen[0] != retryRounds || seen[1] != retryRounds {
 		t.Fatalf("attempts not spread over the list: %v", seen)
 	}
 }
@@ -94,18 +89,13 @@ func TestRetrySweepsServerListWithBackoff(t *testing.T) {
 func TestRetrySucceedsOnLaterRound(t *testing.T) {
 	s := sim.New(1)
 	net := &blackholeNet{s: s}
-	cfg := Config{
-		RequestTimeout: 100 * time.Millisecond,
-		RetryBackoff:   200 * time.Millisecond,
-		RetryRounds:    4,
-	}
-	c := newRetryClient(2, net, cfg)
+	c := newRetryClient(2, net)
 
 	done, ok := false, false
 	c.ReadLive("a", func(_ []Entry, o bool) { done, ok = true, o })
 
 	// Let round 1 fail, then "heal": answer every subsequent attempt.
-	s.RunFor(250 * time.Millisecond)
+	s.RunFor(2*requestTimeout + 50*time.Millisecond)
 	if done {
 		t.Fatal("request completed before the heal")
 	}
@@ -126,7 +116,7 @@ func TestRetrySucceedsOnLaterRound(t *testing.T) {
 func TestReplyStopsAttemptTimer(t *testing.T) {
 	s := sim.New(1)
 	net := &blackholeNet{s: s}
-	c := newRetryClient(1, net, Config{RequestTimeout: 100 * time.Millisecond})
+	c := newRetryClient(1, net)
 
 	c.ReadLive("a", func([]Entry, bool) {})
 	p := c.pending[1]
@@ -147,18 +137,12 @@ func TestReplyStopsAttemptTimer(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffGrowsAndCaps: inter-round pauses grow exponentially
-// and respect the cap.
+// TestRetryBackoffGrowsAndCaps: inter-round pauses grow exponentially,
+// and retryRounds caps the attempts.
 func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 	s := sim.New(1)
 	net := &blackholeNet{s: s}
-	cfg := Config{
-		RequestTimeout:  50 * time.Millisecond,
-		RetryBackoff:    100 * time.Millisecond,
-		RetryBackoffMax: 250 * time.Millisecond,
-		RetryRounds:     5,
-	}
-	c := newRetryClient(1, net, cfg)
+	c := newRetryClient(1, net)
 
 	var attempts []sim.Time
 	net.answer = func(ids.ProcessID, *msgRequest) {
@@ -166,16 +150,16 @@ func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 	}
 	c.ReadLive("a", func([]Entry, bool) {})
 	s.RunFor(10 * time.Second)
-	if len(attempts) != 5 {
-		t.Fatalf("got %d attempts, want 5", len(attempts))
+	if len(attempts) != retryRounds {
+		t.Fatalf("got %d attempts, want %d", len(attempts), retryRounds)
 	}
-	// Gap between consecutive attempts = RequestTimeout + pause, where
-	// pause_i = min(backoff*2^i, cap) + jitter in [0, 50%).
-	wantMin := []time.Duration{100, 200, 250, 250} // ms, pre-jitter
+	// Gap between consecutive attempts = requestTimeout + pause, where
+	// pause_i = retryBackoff<<i + jitter in [0, 50%).
 	for i := 1; i < len(attempts); i++ {
 		gap := time.Duration(attempts[i] - attempts[i-1])
-		lo := cfg.RequestTimeout + wantMin[i-1]*time.Millisecond
-		hi := cfg.RequestTimeout + wantMin[i-1]*time.Millisecond*3/2
+		pause := retryBackoff << (i - 1)
+		lo := requestTimeout + pause
+		hi := requestTimeout + pause*3/2
 		if gap < lo || gap > hi {
 			t.Fatalf("gap %d = %v, want in [%v, %v]", i, gap, lo, hi)
 		}

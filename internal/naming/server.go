@@ -61,7 +61,7 @@ type peerSync struct {
 	done    bool
 	doneGen uint64
 	// skipped counts consecutive skipped rounds; a forced probe every
-	// MaxIdleSkips rounds bounds the exposure to a lost ack or a
+	// maxIdleSkips rounds bounds the exposure to a lost ack or a
 	// summary-hash collision.
 	skipped int
 	// pending/startGen bracket an exchange in flight: startGen is the
@@ -115,13 +115,13 @@ func (s *Server) Start() {
 		return
 	}
 	// Stagger by pid so servers do not sync in lockstep.
-	phase := s.cfg.SyncInterval * time.Duration(int(s.pid)%7) / 7
+	phase := syncInterval * time.Duration(int(s.pid)%7) / 7
 	s.clock.After(phase, func() {
 		if s.syncTicker != nil {
 			return
 		}
-		s.syncTicker = s.clock.Every(s.cfg.SyncInterval, s.antiEntropy)
-		s.notifyTicker = s.clock.Every(s.cfg.NotifyInterval, s.renotifyConflicts)
+		s.syncTicker = s.clock.Every(syncInterval, s.antiEntropy)
+		s.notifyTicker = s.clock.Every(notifyInterval, s.renotifyConflicts)
 		if s.cfg.MappingTTL > 0 {
 			s.expireTicker = s.clock.Every(s.cfg.MappingTTL/4, s.expireLeases)
 		}
@@ -263,7 +263,7 @@ func (s *Server) sendSync(peer ids.ProcessID, m netsim.Message) {
 
 // antiEntropy runs one reconciliation round against the next ring peer.
 // If our generation has not moved since the last completed exchange with
-// this peer, skip the round entirely (bounded by MaxIdleSkips). Otherwise
+// this peer, skip the round entirely (bounded by maxIdleSkips). Otherwise
 // open with a probe carrying only our summary hash; the entry exchange
 // happens in onDigest/onDelta and only for the groups that actually
 // differ.
@@ -275,7 +275,7 @@ func (s *Server) antiEntropy() {
 	s.next++
 	s.stats.add("rounds", 1)
 	st := s.peerState(peer)
-	if st.done && st.doneGen == s.db.Generation() && st.skipped < s.cfg.MaxIdleSkips {
+	if st.done && st.doneGen == s.db.Generation() && st.skipped < maxIdleSkips {
 		st.skipped++
 		s.stats.add("skipped", 1)
 		return

@@ -80,56 +80,3 @@ func TestMuxEdgeCases(t *testing.T) {
 		})
 	}
 }
-
-func TestPointToPointModeParallelism(t *testing.T) {
-	// Two senders transmitting simultaneously: on the shared bus their
-	// frames serialize; on point-to-point links they arrive in parallel.
-	arrivalSpread := func(p2p bool) sim.Time {
-		s := sim.New(1)
-		params := DefaultParams()
-		params.PointToPoint = p2p
-		params.CPUPerMsg = 0
-		params.CPUPerKB = 0
-		nw := New(s, params)
-		var times []sim.Time
-		nw.AddNode(0, nil)
-		nw.AddNode(1, nil)
-		nw.AddNode(2, func(NodeID, Addr, Message) { times = append(times, s.Now()) })
-		nw.Subscribe(2, "g")
-		nw.Multicast(0, "g", RawMessage{Bytes: 5000})
-		nw.Multicast(1, "g", RawMessage{Bytes: 5000})
-		s.Run()
-		if len(times) != 2 {
-			t.Fatalf("got %d deliveries", len(times))
-		}
-		return times[1] - times[0]
-	}
-	busSpread := arrivalSpread(false)
-	p2pSpread := arrivalSpread(true)
-	if busSpread <= 0 {
-		t.Errorf("shared bus must serialize: spread %v", busSpread)
-	}
-	if p2pSpread != 0 {
-		t.Errorf("point-to-point must deliver in parallel: spread %v", p2pSpread)
-	}
-}
-
-func TestPointToPointSerializesPerSender(t *testing.T) {
-	// One sender's frames still serialize on its own NIC.
-	s := sim.New(1)
-	params := DefaultParams()
-	params.PointToPoint = true
-	params.CPUPerMsg = 0
-	params.CPUPerKB = 0
-	nw := New(s, params)
-	var times []sim.Time
-	nw.AddNode(0, nil)
-	nw.AddNode(1, func(NodeID, Addr, Message) { times = append(times, s.Now()) })
-	nw.Subscribe(1, "g")
-	nw.Multicast(0, "g", RawMessage{Bytes: 5000})
-	nw.Multicast(0, "g", RawMessage{Bytes: 5000})
-	s.Run()
-	if len(times) != 2 || times[1] == times[0] {
-		t.Errorf("per-sender NIC must serialize its own frames: %v", times)
-	}
-}

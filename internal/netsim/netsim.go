@@ -99,13 +99,6 @@ type Params struct {
 	// a real stack delivers locally without touching the wire, and the
 	// protocols rely on "the sender holds its own message".
 	LossRate float64
-	// PointToPoint replaces the shared-bus model with independent
-	// full-duplex links: frames serialize per sending NIC instead of on
-	// one medium, so aggregate bandwidth scales with the number of
-	// senders. This is an ablation switch — the paper's interference
-	// effect depends on the shared medium — not a realistic model of
-	// the paper's testbed.
-	PointToPoint bool
 }
 
 // DefaultParams returns parameters approximating the paper's testbed.
@@ -145,7 +138,6 @@ type node struct {
 	handler   Handler
 	subs      map[Addr]bool
 	cpuFreeAt sim.Time
-	nicFreeAt sim.Time // PointToPoint: per-sender serialization
 	crashed   bool
 }
 
@@ -256,9 +248,6 @@ func (n *Network) Reachable(a, b NodeID) bool {
 	return n.partition[a] == n.partition[b]
 }
 
-// Component returns the partition component label of the node.
-func (n *Network) Component(id NodeID) int { return n.partition[id] }
-
 // Stats returns a snapshot of the traffic counters.
 func (n *Network) Stats() Stats {
 	s := n.stats
@@ -279,16 +268,6 @@ func (n *Network) ResetStats() {
 		ByKind:      make(map[string]int64),
 		BytesByKind: make(map[string]int64),
 	}
-}
-
-// BusUtilization returns the fraction of the interval [since, now] the bus
-// spent transmitting. Note BusBusy accumulates from simulation start.
-func (n *Network) BusUtilization(busBusyAtStart time.Duration, since sim.Time) float64 {
-	elapsed := n.sim.Now().Sub(since)
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n.stats.BusBusy-busBusyAtStart) / float64(elapsed)
 }
 
 // Multicast places one frame on the bus addressed to addr. Every node
@@ -316,19 +295,11 @@ func (n *Network) transmit(from NodeID, addr Addr, msg Message, to *NodeID) {
 	tx := time.Duration(float64(frameBytes*8) / n.params.BandwidthBps * float64(time.Second))
 
 	start := n.sim.Now()
-	if n.params.PointToPoint {
-		if sender.nicFreeAt > start {
-			start = sender.nicFreeAt
-		}
-	} else if n.busFreeAt > start {
+	if n.busFreeAt > start {
 		start = n.busFreeAt
 	}
 	end := start.Add(tx)
-	if n.params.PointToPoint {
-		sender.nicFreeAt = end
-	} else {
-		n.busFreeAt = end
-	}
+	n.busFreeAt = end
 
 	n.stats.Frames++
 	n.stats.Bytes += int64(frameBytes)

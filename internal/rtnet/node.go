@@ -150,7 +150,6 @@ func (n *Node) Start() error {
 		Servers: n.cfg.NameServers,
 		Config:  n.cfg.Service,
 		Vsync:   n.cfg.Vsync,
-		Naming:  n.cfg.Naming,
 		Upcalls: n.cfg.Upcalls,
 		Tracer:  n.cfg.Tracer,
 		Metrics: n.cfg.Metrics,

@@ -474,11 +474,6 @@ func (t *Transport) SeedFaults(seed int64) { t.faults.reseed(seed) }
 // rules). Safe from any goroutine, including while traffic flows.
 func (t *Transport) SetFaultSpec(fs *FaultSpec) { t.faults.install(fs) }
 
-// SetDefaultFault sets the rule applied to every link without an
-// explicit override (nil restores a clean default). Safe from any
-// goroutine.
-func (t *Transport) SetDefaultFault(r *FaultRule) { t.faults.setDefault(r) }
-
 // SetLinkFault overrides the rule for the directed link to one peer
 // (nil removes the override, falling back to the default rule). Safe
 // from any goroutine.

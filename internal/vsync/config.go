@@ -19,7 +19,8 @@ const (
 	OrderingTotal
 )
 
-// Config holds the protocol timers of the heavy-weight group layer.
+// Config holds the heavy-weight group layer's failure-detector timers,
+// stop acknowledgement mode and delivery order.
 type Config struct {
 	// HeartbeatInterval is the period of per-member liveness heartbeats.
 	HeartbeatInterval time.Duration
@@ -34,38 +35,43 @@ type Config struct {
 	// than FDTimeout + (FDSuspectMisses-1)*FDCheckInterval from forcing
 	// a spurious view change.
 	FDSuspectMisses int
-	// PresenceInterval is the period of the coordinator's presence
-	// announcement, used for peer discovery when partitions heal.
-	PresenceInterval time.Duration
-	// JoinRetryInterval is the period of the joiner's JOIN-REQ multicast.
-	JoinRetryInterval time.Duration
-	// JoinTimeout is how long a joiner waits for an existing view before
-	// forming a singleton view of its own.
-	JoinTimeout time.Duration
-	// FlushTimeout bounds one flush round: responders that have not sent
-	// FLUSH-OK by then are excluded and the round restarts.
-	FlushTimeout time.Duration
-	// ResponderTimeout bounds how long a stopped member waits for the
-	// new view before giving up on the initiator and resuming.
-	ResponderTimeout time.Duration
-	// MaxFlushAttempts bounds reconfiguration retries.
-	MaxFlushAttempts int
 	// AutoStopOk makes the stack acknowledge Stop itself instead of
 	// upcalling the user. The light-weight group layer keeps it false so
 	// it can quiesce its own groups first (Table 1's Stop/StopOk pair).
 	AutoStopOk bool
-	// AckInterval is the idle-receiver period of the stability scheme:
-	// every outgoing data message carries the sender's cumulative
-	// acknowledgement vector, and a member that sent no data since the
-	// last tick sends one standalone vector instead.
-	AckInterval time.Duration
 	// Ordering selects the multicast delivery order (default
 	// OrderingFIFO).
 	Ordering OrderingMode
-	// NackInterval is the period of the loss-repair scan: observed
-	// sequence gaps older than one interval are NACKed to their sender.
-	NackInterval time.Duration
 }
+
+// Protocol timers and bounds of the heavy-weight group layer, sized for
+// the simulated 10 Mbps testbed.
+const (
+	// presenceInterval is the period of the coordinator's presence
+	// announcement, used for peer discovery when partitions heal.
+	presenceInterval = 250 * time.Millisecond
+	// joinRetryInterval is the period of the joiner's JOIN-REQ multicast.
+	joinRetryInterval = 150 * time.Millisecond
+	// joinTimeout is how long a joiner waits for an existing view before
+	// forming a singleton view of its own.
+	joinTimeout = 400 * time.Millisecond
+	// flushTimeout bounds one flush round: responders that have not sent
+	// FLUSH-OK by then are excluded and the round restarts.
+	flushTimeout = 500 * time.Millisecond
+	// responderTimeout bounds how long a stopped member waits for the
+	// new view before giving up on the initiator and resuming.
+	responderTimeout = 1500 * time.Millisecond
+	// maxFlushAttempts bounds reconfiguration retries.
+	maxFlushAttempts = 5
+	// ackInterval is the idle-receiver period of the stability scheme:
+	// every outgoing data message carries the sender's cumulative
+	// acknowledgement vector, and a member that sent no data since the
+	// last tick sends one standalone vector instead.
+	ackInterval = 50 * time.Millisecond
+	// nackInterval is the period of the loss-repair scan: observed
+	// sequence gaps older than one interval are NACKed to their sender.
+	nackInterval = 100 * time.Millisecond
+)
 
 // DefaultConfig returns timers sized for the simulated 10 Mbps testbed:
 // failure detection in a few hundred milliseconds, flush rounds bounded
@@ -76,15 +82,7 @@ func DefaultConfig() Config {
 		FDTimeout:         350 * time.Millisecond,
 		FDCheckInterval:   50 * time.Millisecond,
 		FDSuspectMisses:   3,
-		PresenceInterval:  250 * time.Millisecond,
-		JoinRetryInterval: 150 * time.Millisecond,
-		JoinTimeout:       400 * time.Millisecond,
-		FlushTimeout:      500 * time.Millisecond,
-		ResponderTimeout:  1500 * time.Millisecond,
-		MaxFlushAttempts:  5,
 		AutoStopOk:        false,
-		AckInterval:       50 * time.Millisecond,
-		NackInterval:      100 * time.Millisecond,
 	}
 }
 
@@ -103,32 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.FDSuspectMisses <= 0 {
 		c.FDSuspectMisses = d.FDSuspectMisses
 	}
-	if c.PresenceInterval <= 0 {
-		c.PresenceInterval = d.PresenceInterval
-	}
-	if c.JoinRetryInterval <= 0 {
-		c.JoinRetryInterval = d.JoinRetryInterval
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = d.JoinTimeout
-	}
-	if c.FlushTimeout <= 0 {
-		c.FlushTimeout = d.FlushTimeout
-	}
-	if c.ResponderTimeout <= 0 {
-		c.ResponderTimeout = d.ResponderTimeout
-	}
-	if c.MaxFlushAttempts <= 0 {
-		c.MaxFlushAttempts = d.MaxFlushAttempts
-	}
-	if c.AckInterval <= 0 {
-		c.AckInterval = d.AckInterval
-	}
 	if c.Ordering == 0 {
 		c.Ordering = OrderingFIFO
-	}
-	if c.NackInterval <= 0 {
-		c.NackInterval = d.NackInterval
 	}
 	return c
 }

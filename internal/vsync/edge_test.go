@@ -74,7 +74,7 @@ func TestHeartbeatsFromForeignViewsDoNotFeedFD(t *testing.T) {
 }
 
 // TestInitiatorCrashDuringFlush: the initiator dies between STOP and
-// NEW-VIEW; responders must resume via ResponderTimeout and re-form the
+// NEW-VIEW; responders must resume via responderTimeout and re-form the
 // group without it.
 func TestInitiatorCrashDuringFlush(t *testing.T) {
 	cfg := DefaultConfig() // manual StopOk so we can freeze the flush

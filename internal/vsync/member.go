@@ -173,12 +173,12 @@ func (m *member) startJoin() {
 	m.st.trace(m.gid, "join-start", "joining")
 	send := func() { m.multicast(&msgJoinReq{GID: m.gid, From: m.st.pid}) }
 	send()
-	m.joinTicker = m.st.clock.Every(m.st.cfg.JoinRetryInterval, send)
+	m.joinTicker = m.st.clock.Every(joinRetryInterval, send)
 	m.armJoinDeadline()
 }
 
 func (m *member) armJoinDeadline() {
-	m.extendJoinDeadline(m.st.cfg.JoinTimeout)
+	m.extendJoinDeadline(joinTimeout)
 }
 
 // extendJoinDeadline postpones the fall-back-to-singleton decision, e.g.
@@ -731,9 +731,9 @@ func (m *member) startTimers() {
 		}
 		m.hbTicker = m.st.clock.Every(cfg.HeartbeatInterval, m.sendHeartbeat)
 		m.fdTicker = m.st.clock.Every(cfg.FDCheckInterval, m.checkFailures)
-		m.presTicker = m.st.clock.Every(cfg.PresenceInterval, m.sendPresence)
-		m.nackTicker = m.st.clock.Every(cfg.NackInterval, m.scanGaps)
-		m.ackTicker = m.st.clock.Every(cfg.AckInterval, m.sendAckVector)
+		m.presTicker = m.st.clock.Every(presenceInterval, m.sendPresence)
+		m.nackTicker = m.st.clock.Every(nackInterval, m.scanGaps)
+		m.ackTicker = m.st.clock.Every(ackInterval, m.sendAckVector)
 	})
 }
 

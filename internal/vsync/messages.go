@@ -96,7 +96,7 @@ func (t *ordToken) WireSize() int { return 28 }
 
 // msgAckVector is a standalone cumulative acknowledgement: the highest
 // contiguous sequence number delivered per sender in the current view,
-// sent once per AckInterval in which no data message carried it.
+// sent once per ackInterval in which no data message carried it.
 type msgAckVector struct {
 	GID    ids.HWGID
 	View   ids.ViewID
@@ -217,7 +217,7 @@ func (m *msgStop) Kind() string { return "flush" }
 // msgAbort voids a flush round whose initiator gave up (it yielded to a
 // lower-numbered competitor, exhausted its retries, or was itself absorbed
 // into another view). Responders stopped on the epoch resume immediately
-// instead of waiting out ResponderTimeout.
+// instead of waiting out responderTimeout.
 type msgAbort struct {
 	GID   ids.HWGID
 	Epoch epoch

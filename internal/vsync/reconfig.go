@@ -20,7 +20,7 @@ import (
 // Competing initiators are resolved deterministically: a stopped member
 // defects to a STOP from a lower-numbered initiator, and an initiator
 // aborts its own round when it finds itself stopped by a lower-numbered
-// one. Unresponsive initiators are survived via ResponderTimeout.
+// one. Unresponsive initiators are survived via responderTimeout.
 
 // traceRound emits a structured flush-round event. Every event of one
 // round — the initiator's flush-start/flush-done and each responder's
@@ -140,7 +140,7 @@ func (m *member) sendStop() {
 	if rc.timer != nil {
 		rc.timer.Stop()
 	}
-	rc.timer = m.st.clock.After(m.st.cfg.FlushTimeout, m.onFlushTimeout)
+	rc.timer = m.st.clock.After(flushTimeout, m.onFlushTimeout)
 }
 
 func (m *member) onFlushTimeout() {
@@ -155,7 +155,7 @@ func (m *member) onFlushTimeout() {
 		return
 	}
 	rc.attempts++
-	if rc.attempts >= m.st.cfg.MaxFlushAttempts {
+	if rc.attempts >= maxFlushAttempts {
 		m.st.ins.flushAborts.Inc()
 		m.st.trace(m.gid, "flush-abort", "epoch=%v after %d attempts", rc.epoch, rc.attempts)
 		m.abortRound()
@@ -255,12 +255,12 @@ func (m *member) onStop(from ids.ProcessID, s *msgStop) {
 		if m.joinCommitTimer != nil {
 			m.joinCommitTimer.Stop()
 		}
-		m.joinCommitTimer = m.st.clock.After(m.st.cfg.ResponderTimeout, func() {
+		m.joinCommitTimer = m.st.clock.After(responderTimeout, func() {
 			m.joinCommit = epoch{}
 		})
 		// A flush admitting us is in progress: answer and give it time
 		// (including retries) before falling back to a singleton view.
-		m.extendJoinDeadline(m.st.cfg.ResponderTimeout)
+		m.extendJoinDeadline(responderTimeout)
 		m.unicast(s.Epoch.Initiator, &msgFlushOk{
 			GID: m.gid, Epoch: s.Epoch, From: m.st.pid, Joining: true,
 		})
@@ -294,7 +294,7 @@ func (m *member) enterStopped(e epoch) {
 	if m.respTimer != nil {
 		m.respTimer.Stop()
 	}
-	m.respTimer = m.st.clock.After(m.st.cfg.ResponderTimeout, m.onResponderTimeout)
+	m.respTimer = m.st.clock.After(responderTimeout, m.onResponderTimeout)
 	if m.st.cfg.AutoStopOk || m.st.up == nil {
 		m.sendFlushOk()
 		return
@@ -485,7 +485,7 @@ func (m *member) collectGaps() {
 	if rc.timer != nil {
 		rc.timer.Stop()
 	}
-	rc.timer = m.st.clock.After(m.st.cfg.FlushTimeout, m.onFlushTimeout)
+	rc.timer = m.st.clock.After(flushTimeout, m.onFlushTimeout)
 }
 
 // onFlushPull serves buffered copies of the requested messages.

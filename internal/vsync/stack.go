@@ -187,7 +187,7 @@ func (s *Stack) Config() Config { return s.cfg }
 
 // Join starts joining the group (Table 1 downcall). The caller learns the
 // outcome through the View upcall: either an existing view admits the
-// process, or after Config.JoinTimeout the process installs a singleton
+// process, or after joinTimeout the process installs a singleton
 // view of itself.
 func (s *Stack) Join(gid ids.HWGID) error {
 	if _, ok := s.groups[gid]; ok {

@@ -274,7 +274,7 @@ func TestStabilityDiscardsBuffers(t *testing.T) {
 
 // TestPeriodicAckStability: one sender, two idle receivers — nothing the
 // receivers send can carry their vector, so stability rests on the
-// standalone one per AckInterval.
+// standalone one per ackInterval.
 func TestPeriodicAckStability(t *testing.T) {
 	w := newWorld(t, 3, autoCfg())
 	for i := 0; i < 3; i++ {
@@ -314,19 +314,22 @@ func TestPeriodicAckStability(t *testing.T) {
 // sender of a two-member view needs the peer's vector and keeps it.
 func TestStableAtDeliveryWithoutVectors(t *testing.T) {
 	for _, n := range []int{1, 2} {
-		cfg := autoCfg()
-		cfg.AckInterval = time.Hour // no standalone vector during the test
-		w := newWorld(t, n, cfg)
+		w := newWorld(t, n, autoCfg())
 		for i := 0; i < n; i++ {
 			if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		w.run(4 * time.Second)
+		w.nw.ResetStats()
 		if err := w.stacks[0].Send(g1, tPayload{ID: "m"}); err != nil {
 			t.Fatal(err)
 		}
 		w.run(20 * time.Millisecond)
+		// Stability at delivery must not have come from a vector.
+		if got := w.nw.Stats().ByKind["ack"]; got != 0 {
+			t.Fatalf("n=%d: %d ack-vector frames in the window, want 0", n, got)
+		}
 		for pid := ids.ProcessID(0); int(pid) < n; pid++ {
 			if len(w.ups[pid].log[g1]) == 0 {
 				t.Fatalf("n=%d: %v delivered nothing", n, pid)

@@ -161,9 +161,6 @@ func (b *Buffer) Release() {
 	}
 }
 
-// Reset empties the buffer without releasing its storage.
-func (b *Buffer) Reset() { b.B = b.B[:0] }
-
 // Byte appends one byte.
 func (b *Buffer) Byte(v byte) { b.B = append(b.B, v) }
 

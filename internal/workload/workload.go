@@ -91,7 +91,3 @@ func (t Topology) GroupsOf(p ids.ProcessID) []GroupRef {
 	}
 	return out
 }
-
-// GroupsWith returns the groups whose membership contains the process
-// (alias kept for readability at call sites measuring crash impact).
-func (t Topology) GroupsWith(p ids.ProcessID) []GroupRef { return t.GroupsOf(p) }

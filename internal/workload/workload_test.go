@@ -48,8 +48,8 @@ func TestGroupsOf(t *testing.T) {
 			t.Errorf("p0 must only be in set A groups, got %+v", g)
 		}
 	}
-	if got := topo.GroupsWith(3); len(got) != 2 {
-		t.Errorf("GroupsWith(3) = %d", len(got))
+	if got := topo.GroupsOf(3); len(got) != 2 {
+		t.Errorf("GroupsOf(3) = %d", len(got))
 	}
 }
 

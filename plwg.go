@@ -85,7 +85,7 @@ type Config struct {
 	Service core.Config
 	// Vsync overrides the heavy-weight group layer timers.
 	Vsync vsync.Config
-	// Naming overrides the naming-service timers.
+	// Naming overrides the naming-service mapping lease.
 	Naming naming.Config
 	// CollectTrace enables in-memory protocol tracing (see
 	// Cluster.Trace).
@@ -203,7 +203,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Servers: serverPids,
 			Config:  cfg.Service,
 			Vsync:   cfg.Vsync,
-			Naming:  cfg.Naming,
 			Upcalls: (*upcallRouter)(p),
 			Tracer:  tr,
 		}, mux)
