@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"plwg/internal/bench"
+	"plwg/internal/cluster"
 	"plwg/internal/core"
 	"plwg/internal/explore"
 	"plwg/internal/naming"
@@ -28,7 +29,7 @@ var updateSurface = flag.Bool("update", false, "rewrite testdata/config_surface.
 func TestConfigSurface(t *testing.T) {
 	var lines []string
 	for _, cfg := range []any{
-		Config{}, core.Config{}, vsync.Config{}, naming.Config{},
+		Config{}, cluster.Config{}, core.Config{}, vsync.Config{}, naming.Config{},
 		rtnet.NodeConfig{}, rtnet.PipelineConfig{}, explore.EnumConfig{}, bench.Options{},
 	} {
 		typ := reflect.TypeOf(cfg)

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"plwg/internal/cluster"
 	"plwg/internal/core"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
@@ -71,9 +72,8 @@ type Harness struct {
 	S    *sim.Sim
 	NW   *netsim.Network
 
-	// Dynamic/static configurations.
-	eps     map[ids.ProcessID]*core.Endpoint
-	servers []*naming.Server
+	// Dynamic/static configurations, indexed by pid.
+	eps []*core.Endpoint
 	// NoLWG configuration.
 	stacks map[ids.ProcessID]*vsync.Stack
 
@@ -108,8 +108,9 @@ func (p benchPayload) WireSize() int { return p.Size }
 // Options are optional harness instrumentation for the observability
 // records.
 type Options struct {
-	// Tracer records protocol events (a *trace.Recorder for analysis
-	// runs, a *trace.Ring for overhead-representative ones).
+	// Tracer records protocol events from every layer of every process,
+	// the naming server's included (a *trace.Recorder for analysis runs,
+	// a *trace.Ring for overhead-representative ones).
 	Tracer trace.Tracer
 	// Metrics receives instrumentation from every simulated process
 	// (the registry is shared across the cluster, so counters aggregate
@@ -125,12 +126,9 @@ func NewHarness(mode Mode, topo workload.Topology, seed int64) *Harness {
 
 // NewHarnessWith is NewHarness with instrumentation.
 func NewHarnessWith(mode Mode, topo workload.Topology, seed int64, opts Options) *Harness {
-	s := sim.New(seed)
 	h := &Harness{
 		Mode:     mode,
 		Topo:     topo,
-		S:        s,
-		NW:       netsim.New(s, netsim.DefaultParams()),
 		groupIdx: make(map[ids.LWGID]int),
 		sentAt:   make(map[uint64]sim.Time),
 		opts:     opts,
@@ -140,25 +138,22 @@ func NewHarnessWith(mode Mode, topo workload.Topology, seed int64, opts Options)
 	}
 	switch mode {
 	case NoLWG:
-		h.buildNoLWG()
+		h.buildNoLWG(seed)
 	case StaticLWG, DynamicLWG:
-		h.buildLWG(mode == StaticLWG)
+		h.buildLWG(seed, mode == StaticLWG)
 	}
 	return h
-}
-
-// tracer returns the configured tracer or a no-op.
-func (h *Harness) tracer() trace.Tracer {
-	if h.opts.Tracer != nil {
-		return h.opts.Tracer
-	}
-	return trace.Nop{}
 }
 
 // gidOf maps a topology group index to its NoLWG heavy-weight group id.
 func gidOf(gi int) ids.HWGID { return ids.HWGID(gi + 1) }
 
-func (h *Harness) buildNoLWG() {
+// buildNoLWG wires bare vsync stacks, one per process: the HWG-only
+// baseline has no LWG endpoint or naming service, so package cluster
+// does not build it.
+func (h *Harness) buildNoLWG(seed int64) {
+	h.S = sim.New(seed)
+	h.NW = netsim.New(h.S, netsim.DefaultParams())
 	h.stacks = make(map[ids.ProcessID]*vsync.Stack)
 	cfg := vsync.DefaultConfig()
 	cfg.AutoStopOk = true
@@ -166,7 +161,7 @@ func (h *Harness) buildNoLWG() {
 		pid := ids.ProcessID(i)
 		up := &noLWGUpcalls{h: h, pid: pid}
 		st := vsync.NewStack(vsync.Params{
-			Net: h.NW, PID: pid, Config: cfg, Upcalls: up, Tracer: h.tracer(),
+			Net: h.NW, PID: pid, Config: cfg, Upcalls: up, Tracer: h.opts.Tracer,
 			Metrics: h.opts.Metrics,
 		})
 		mux := netsim.NewMux()
@@ -196,47 +191,31 @@ func (u *noLWGUpcalls) Data(gid ids.HWGID, src ids.ProcessID, payload vsync.Payl
 
 func (u *noLWGUpcalls) Stop(ids.HWGID) {}
 
-func (h *Harness) buildLWG(static bool) {
-	h.eps = make(map[ids.ProcessID]*core.Endpoint)
-	serverPids := []ids.ProcessID{0}
+func (h *Harness) buildLWG(seed int64, static bool) {
 	svcCfg := core.DefaultConfig()
 	if static {
 		svcCfg.PolicyInterval = 24 * time.Hour // mapping is frozen
 	} else {
 		svcCfg.PolicyInterval = 10 * time.Second
 	}
-	for i := 0; i < h.Topo.Procs; i++ {
-		pid := ids.ProcessID(i)
-		mux := netsim.NewMux()
-		up := &lwgUpcalls{h: h, pid: pid}
-		ep := core.New(core.Params{
-			Net:     h.NW,
-			PID:     pid,
-			Servers: serverPids,
+	c := cluster.New(cluster.Config{
+		Nodes: h.Topo.Procs,
+		Seed:  seed,
+		Net:   netsim.DefaultParams(),
+		Endpoint: core.Params{
+			Servers: []ids.ProcessID{0},
 			Config:  svcCfg,
-			Upcalls: up,
-			Tracer:  h.tracer(),
+			Tracer:  h.opts.Tracer,
 			Metrics: h.opts.Metrics,
-		}, mux)
-		for _, sp := range serverPids {
-			if sp == pid {
-				srv := naming.NewServer(naming.ServerParams{
-					Net: h.NW, PID: pid, Peers: serverPids,
-					Metrics: h.opts.Metrics,
-				})
-				mux.Handle(naming.ServerPrefix, srv.HandleMessage)
-				srv.Start()
-				h.servers = append(h.servers, srv)
-			}
-		}
-		h.NW.AddNode(pid, mux.Handler())
-		h.eps[pid] = ep
-	}
+		},
+		Upcalls: func(pid ids.ProcessID) core.Upcalls { return &lwgUpcalls{h: h, pid: pid} },
+	})
+	h.S, h.NW, h.eps = c.Sim, c.Net, c.Endpoints
 	if static {
 		// Pre-seed the static mapping: every user group onto the one
 		// shared heavy-weight group.
 		for i, g := range h.Topo.Groups {
-			for _, srv := range h.servers {
+			for _, srv := range c.Servers {
 				srv.DB().Put(naming.Entry{
 					LWG:  g.Name,
 					View: ids.ViewID{Coord: 0, Seq: uint64(i) + 1},
@@ -405,10 +384,8 @@ func (h *Harness) StopTraffic() {
 // RunPolicyEverywhere triggers one mapping-heuristics pass at every
 // process, in process order (LWG modes only).
 func (h *Harness) RunPolicyEverywhere() {
-	for i := 0; i < h.Topo.Procs; i++ {
-		if ep, ok := h.eps[ids.ProcessID(i)]; ok {
-			ep.RunPolicyNow()
-		}
+	for _, ep := range h.eps {
+		ep.RunPolicyNow()
 	}
 }
 

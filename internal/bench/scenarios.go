@@ -5,11 +5,10 @@ import (
 	"io"
 	"time"
 
+	"plwg/internal/cluster"
 	"plwg/internal/core"
 	"plwg/internal/ids"
-	"plwg/internal/naming"
 	"plwg/internal/netsim"
-	"plwg/internal/sim"
 	"plwg/internal/trace"
 )
 
@@ -29,52 +28,28 @@ import (
 //	4) merged LWGs:           one view per LWG, ancestors garbage-collected
 //	                          (Table 4)
 
-// scenarioCluster is a minimal full-stack cluster for the scenario
-// player.
+// scenarioCluster is the scenario player's world and its trace.
 type scenarioCluster struct {
-	s       *sim.Sim
-	nw      *netsim.Network
-	eps     map[ids.ProcessID]*core.Endpoint
-	servers map[ids.ProcessID]*naming.Server
-	tracer  *trace.Recorder
+	*cluster.Cluster
+	tracer *trace.Recorder
 }
 
 func newScenarioCluster(nodes int, serverPids []ids.ProcessID, seed int64) *scenarioCluster {
-	s := sim.New(seed)
-	nw := netsim.New(s, netsim.DefaultParams())
-	c := &scenarioCluster{
-		s: s, nw: nw,
-		eps:     make(map[ids.ProcessID]*core.Endpoint),
-		servers: make(map[ids.ProcessID]*naming.Server),
-		tracer:  &trace.Recorder{},
-	}
+	c := &scenarioCluster{tracer: &trace.Recorder{}}
 	svc := core.DefaultConfig()
 	svc.PolicyInterval = time.Hour // scenarios drive reconfiguration themselves
-	for i := 0; i < nodes; i++ {
-		pid := ids.ProcessID(i)
-		mux := netsim.NewMux()
-		ep := core.New(core.Params{
-			Net: nw, PID: pid, Servers: serverPids, Config: svc, Tracer: c.tracer,
-		}, mux)
-		for _, sp := range serverPids {
-			if sp == pid {
-				srv := naming.NewServer(naming.ServerParams{
-					Net: nw, PID: pid, Peers: serverPids, Tracer: c.tracer,
-				})
-				mux.Handle(naming.ServerPrefix, srv.HandleMessage)
-				srv.Start()
-				c.servers[pid] = srv
-			}
-		}
-		nw.AddNode(pid, mux.Handler())
-		c.eps[pid] = ep
-	}
+	c.Cluster = cluster.New(cluster.Config{
+		Nodes:    nodes,
+		Seed:     seed,
+		Net:      netsim.DefaultParams(),
+		Endpoint: core.Params{Servers: serverPids, Config: svc, Tracer: c.tracer},
+	})
 	return c
 }
 
 func (c *scenarioCluster) dumpServer(w io.Writer, pid ids.ProcessID) {
 	fmt.Fprintf(w, "  name server at %v:\n", pid)
-	d := c.servers[pid].DB().Dump()
+	d := c.Servers[pid].DB().Dump()
 	if d == "" {
 		fmt.Fprintln(w, "    (empty)")
 		return
@@ -108,41 +83,41 @@ func Table3Scenario(w io.Writer, seed int64) *scenarioCluster {
 	fmt.Fprintln(w, "== Table 3: inconsistent mappings across a partition ==")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Partitioning: p = {p0..p3}, p' = {p4..p7}")
-	c.nw.SetPartitions(
+	c.Net.SetPartitions(
 		[]netsim.NodeID{0, 1, 2, 3},
 		[]netsim.NodeID{4, 5, 6, 7},
 	)
 	// In partition p, p1 creates LWG a and p2 creates LWG b (distinct
 	// creators → distinct HWGs); in partition p', p5 and p6 do the same.
-	_ = c.eps[1].Join("a")
-	_ = c.eps[2].Join("b")
-	_ = c.eps[5].Join("a")
-	_ = c.eps[6].Join("b")
-	c.s.RunFor(3 * time.Second)
+	_ = c.Endpoints[1].Join("a")
+	_ = c.Endpoints[2].Join("b")
+	_ = c.Endpoints[5].Join("a")
+	_ = c.Endpoints[6].Join("b")
+	c.Sim.RunFor(3 * time.Second)
 	// Second members join within each partition.
-	_ = c.eps[2].Join("a")
-	_ = c.eps[1].Join("b")
-	_ = c.eps[6].Join("a")
-	_ = c.eps[5].Join("b")
-	c.s.RunFor(3 * time.Second)
+	_ = c.Endpoints[2].Join("a")
+	_ = c.Endpoints[1].Join("b")
+	_ = c.Endpoints[6].Join("a")
+	_ = c.Endpoints[5].Join("b")
+	c.Sim.RunFor(3 * time.Second)
 
 	fmt.Fprintln(w, "\n-- databases while partitioned --")
 	c.dumpServer(w, 0)
 	c.dumpServer(w, 4)
 
 	fmt.Fprintln(w, "\nHealing the partition; name servers reconcile by anti-entropy ...")
-	c.nw.Heal()
+	c.Net.Heal()
 	// Advance in small steps and capture the database at the moment the
 	// reconciled (conflicting) state is visible — the LWG layer starts
 	// repairing it within a few hundred milliseconds, so the Table 3
 	// state is transient by design.
-	deadline := c.s.Now().Add(5 * time.Second)
-	for c.s.Now() < deadline {
-		db := c.servers[0].DB()
+	deadline := c.Sim.Now().Add(5 * time.Second)
+	for c.Sim.Now() < deadline {
+		db := c.Servers[0].DB()
 		if db.Conflict("a") && db.Conflict("b") {
 			break
 		}
-		c.s.RunFor(20 * time.Millisecond)
+		c.Sim.RunFor(20 * time.Millisecond)
 	}
 	fmt.Fprintln(w, "\n-- merged naming service (stage 1, Table 3) --")
 	c.dumpServer(w, 0)
@@ -160,20 +135,20 @@ func Table4Scenario(w io.Writer, seed int64) {
 	// concurrent views meet on one HWG and merge, and the naming service
 	// garbage-collects the ancestors. Poll until each LWG has exactly
 	// one live mapping.
-	deadline := c.s.Now().Add(30 * time.Second)
+	deadline := c.Sim.Now().Add(30 * time.Second)
 	converged := func() bool {
 		for _, lwg := range []ids.LWGID{"a", "b"} {
-			if len(c.servers[0].DB().Live(lwg)) != 1 || c.servers[0].DB().Conflict(lwg) {
+			if len(c.Servers[0].DB().Live(lwg)) != 1 || c.Servers[0].DB().Conflict(lwg) {
 				return false
 			}
-			if len(c.servers[4].DB().Live(lwg)) != 1 {
+			if len(c.Servers[4].DB().Live(lwg)) != 1 {
 				return false
 			}
 		}
 		return true
 	}
-	for !converged() && c.s.Now() < deadline {
-		c.s.RunFor(250 * time.Millisecond)
+	for !converged() && c.Sim.Now() < deadline {
+		c.Sim.RunFor(250 * time.Millisecond)
 	}
 	fmt.Fprintln(w, "\n-- after reconciliation: switched and merged (stage 4, Table 4) --")
 	c.dumpServer(w, 0)
@@ -182,8 +157,8 @@ func Table4Scenario(w io.Writer, seed int64) {
 	fmt.Fprintln(w, "\n-- resulting light-weight group views --")
 	for _, lwg := range []ids.LWGID{"a", "b"} {
 		for _, pid := range []ids.ProcessID{1, 2, 5, 6} {
-			if v, ok := c.eps[pid].LWGView(lwg); ok {
-				h, _ := c.eps[pid].Mapping(lwg)
+			if v, ok := c.Endpoints[pid].LWGView(lwg); ok {
+				h, _ := c.Endpoints[pid].Mapping(lwg)
 				fmt.Fprintf(w, "  %s at %v: view %v on %v\n", lwg, pid, v, h)
 			}
 		}

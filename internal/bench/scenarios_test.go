@@ -18,12 +18,12 @@ func TestTable3InconsistentMappings(t *testing.T) {
 	// After the heal and one reconciliation round, server 0 must hold
 	// two live mappings per LWG (Table 3's merged database).
 	for _, lwg := range []ids.LWGID{"a", "b"} {
-		live := c.servers[0].DB().Live(lwg)
+		live := c.Servers[0].DB().Live(lwg)
 		if len(live) != 2 {
 			t.Errorf("merged db: LWG %s has %d live mappings, want 2\n%s",
-				lwg, len(live), c.servers[0].DB().Dump())
+				lwg, len(live), c.Servers[0].DB().Dump())
 		}
-		if !c.servers[0].DB().Conflict(lwg) {
+		if !c.Servers[0].DB().Conflict(lwg) {
 			t.Errorf("merged db: LWG %s not flagged as conflicting", lwg)
 		}
 	}

@@ -17,16 +17,11 @@ import (
 	"plwg/internal/trace"
 )
 
-// nopUpcalls discards the application upcalls; the e2e test observes
-// the cluster exclusively through the collector, which is the point.
-type nopUpcalls struct{}
-
-func (nopUpcalls) View(ids.LWGID, ids.View)              {}
-func (nopUpcalls) Data(ids.LWGID, ids.ProcessID, []byte) {}
-
 // startObservedCluster boots n live UDP nodes, every one instrumented
 // with its own registry and trace ring and exposing a debug server, and
-// returns the nodes plus a collector scraping all of them.
+// returns the nodes plus a collector scraping all of them. The nodes
+// have no upcalls: the test observes the cluster exclusively through
+// the collector, which is the point.
 func startObservedCluster(t *testing.T, n int, servers []ids.ProcessID) ([]*rtnet.Node, *Collector) {
 	t.Helper()
 	nodes := make([]*rtnet.Node, n)
@@ -36,7 +31,6 @@ func startObservedCluster(t *testing.T, n int, servers []ids.ProcessID) ([]*rtne
 			PID:         ids.ProcessID(i),
 			Listen:      "127.0.0.1:0",
 			NameServers: servers,
-			Upcalls:     nopUpcalls{},
 			Tracer:      trace.NewRing(trace.DefaultRingCapacity),
 			Metrics:     metrics.NewRegistry(),
 			// Sample every data envelope so the latency histograms fill

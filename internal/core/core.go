@@ -263,9 +263,11 @@ type hwgState struct {
 	batchTimer *sim.Timer
 }
 
-// New creates a light-weight group service endpoint and registers its
-// protocol handlers on the mux.
-func New(p Params, mux *netsim.Mux) *Endpoint {
+// NewNode builds one node on the mux, simulated or real: the light-weight
+// group service endpoint, then, when p.PID is one of p.Servers, a started
+// naming server configured by ns with the endpoint's tracer and metrics
+// (nil on other nodes).
+func NewNode(p Params, ns naming.Config, mux *netsim.Mux) (*Endpoint, *naming.Server) {
 	tr := p.Tracer
 	if tr == nil {
 		tr = trace.Nop{}
@@ -302,7 +304,18 @@ func New(p Params, mux *netsim.Mux) *Endpoint {
 	mux.Handle(naming.CallbackPrefix, e.handleNamingCallback)
 	e.policyTicker = e.clock.Every(e.cfg.PolicyInterval, e.runPolicy)
 	e.refreshTicker = e.clock.Every(e.cfg.MappingRefreshInterval, e.refreshMappings)
-	return e
+	for _, sp := range p.Servers {
+		if sp == p.PID {
+			srv := naming.NewServer(naming.ServerParams{
+				Net: p.Net, PID: p.PID, Peers: p.Servers, Config: ns,
+				Tracer: tr, Metrics: p.Metrics,
+			})
+			mux.Handle(naming.ServerPrefix, srv.HandleMessage)
+			srv.Start()
+			return e, srv
+		}
+	}
+	return e, nil
 }
 
 // refreshMappings renews the naming-service lease of every mapping this

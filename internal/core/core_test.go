@@ -74,6 +74,13 @@ func newCWorldNS(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, ns
 
 func newCWorldVS(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, nsCfg naming.Config, vsCfg vsync.Config) *cWorld {
 	t.Helper()
+	return buildCWorld(t, n, Params{Servers: serverPids, Config: cfg, Vsync: vsCfg}, nsCfg, nil)
+}
+
+// buildCWorld builds n nodes from the Params template. Every node sends
+// through wrap(network) when wrap is set, through the network itself
+// otherwise.
+func buildCWorld(t *testing.T, n int, p Params, nsCfg naming.Config, wrap func(*netsim.Network) netsim.Transport) *cWorld {
 	s := sim.New(3)
 	nw := netsim.New(s, netsim.DefaultParams())
 	w := &cWorld{
@@ -84,29 +91,18 @@ func newCWorldVS(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, ns
 		tracer:  &trace.Recorder{},
 		reg:     metrics.NewRegistry(),
 	}
+	p.Net, p.Tracer, p.Metrics = nw, w.tracer, w.reg
+	if wrap != nil {
+		p.Net = wrap(nw)
+	}
 	for i := 0; i < n; i++ {
 		pid := ids.ProcessID(i)
 		mux := netsim.NewMux()
 		rec := &cRec{s: s, log: make(map[ids.LWGID][]cEntry)}
-		ep := New(Params{
-			Net:     nw,
-			PID:     pid,
-			Servers: serverPids,
-			Config:  cfg,
-			Vsync:   vsCfg,
-			Upcalls: rec,
-			Tracer:  w.tracer,
-			Metrics: w.reg,
-		}, mux)
-		for _, sp := range serverPids {
-			if sp == pid {
-				srv := naming.NewServer(naming.ServerParams{
-					Net: nw, PID: pid, Peers: serverPids, Config: nsCfg, Tracer: w.tracer,
-				})
-				mux.Handle(naming.ServerPrefix, srv.HandleMessage)
-				srv.Start()
-				w.servers[pid] = srv
-			}
+		p.PID, p.Upcalls = pid, rec
+		ep, srv := NewNode(p, nsCfg, mux)
+		if srv != nil {
+			w.servers[pid] = srv
 		}
 		nw.AddNode(pid, mux.Handler())
 		w.eps[pid] = ep

@@ -8,8 +8,6 @@ import (
 	"plwg/internal/ids"
 	"plwg/internal/naming"
 	"plwg/internal/netsim"
-	"plwg/internal/sim"
-	"plwg/internal/trace"
 )
 
 // dupNet wraps the simulated network and re-sends every frame once more
@@ -42,43 +40,8 @@ func (d *dupNet) Unicast(from, to netsim.NodeID, addr netsim.Addr, msg netsim.Me
 // newDupWorld is newCWorld with every frame duplicated after delay.
 func newDupWorld(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, delay time.Duration) *cWorld {
 	t.Helper()
-	s := sim.New(3)
-	nw := netsim.New(s, netsim.DefaultParams())
-	dn := &dupNet{Network: nw, delay: delay}
-	w := &cWorld{
-		t: t, s: s, nw: nw,
-		eps:     make(map[ids.ProcessID]*Endpoint),
-		ups:     make(map[ids.ProcessID]*cRec),
-		servers: make(map[ids.ProcessID]*naming.Server),
-		tracer:  &trace.Recorder{},
-	}
-	for i := 0; i < n; i++ {
-		pid := ids.ProcessID(i)
-		mux := netsim.NewMux()
-		rec := &cRec{s: s, log: make(map[ids.LWGID][]cEntry)}
-		ep := New(Params{
-			Net:     dn,
-			PID:     pid,
-			Servers: serverPids,
-			Config:  cfg,
-			Upcalls: rec,
-			Tracer:  w.tracer,
-		}, mux)
-		for _, sp := range serverPids {
-			if sp == pid {
-				srv := naming.NewServer(naming.ServerParams{
-					Net: dn, PID: pid, Peers: serverPids, Tracer: w.tracer,
-				})
-				mux.Handle(naming.ServerPrefix, srv.HandleMessage)
-				srv.Start()
-				w.servers[pid] = srv
-			}
-		}
-		nw.AddNode(pid, mux.Handler())
-		w.eps[pid] = ep
-		w.ups[pid] = rec
-	}
-	return w
+	return buildCWorld(t, n, Params{Servers: serverPids, Config: cfg}, naming.Config{},
+		func(nw *netsim.Network) netsim.Transport { return &dupNet{Network: nw, delay: delay} })
 }
 
 // requireExactlyOnce asserts each pid delivered exactly the payloads in

@@ -107,7 +107,7 @@ func (w *world) digest() uint64 {
 	b = append(b, '\n')
 	for i := 0; i < w.sched.Nodes; i++ {
 		pid := ids.ProcessID(i)
-		ep := w.eps[pid]
+		ep := w.Endpoints[i]
 		b = strconv.AppendInt(append(b, 'p'), int64(i), 10)
 		if w.crashed[pid] {
 			b = append(b, " crashed=true\n"...)
@@ -159,7 +159,7 @@ func (w *world) digest() uint64 {
 		}
 	}
 	for _, srv := range w.serverList {
-		db := w.servers[srv].DB()
+		db := w.Servers[srv].DB()
 		// The doubled p is a historical quirk ("ns p" + the p<N> String of
 		// the id); it is frozen into persisted digests.
 		b = append(b, "ns p"...)

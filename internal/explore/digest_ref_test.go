@@ -48,7 +48,7 @@ func digestReference(w *world) uint64 {
 	fmt.Fprintf(&b, "cut=%d\n", w.cut)
 	for i := 0; i < w.sched.Nodes; i++ {
 		pid := ids.ProcessID(i)
-		ep := w.eps[pid]
+		ep := w.Endpoints[i]
 		fmt.Fprintf(&b, "p%d crashed=%v\n", i, w.crashed[pid])
 		if w.crashed[pid] {
 			continue
@@ -82,8 +82,8 @@ func digestReference(w *world) uint64 {
 			fmt.Fprintf(&b, " hwg %s %s%v\n", hwg(g), view(v.ID), v.Members)
 		}
 	}
-	for _, srv := range sortedServerPids(w.servers) {
-		db := w.servers[srv].DB()
+	for _, srv := range sortedServerPids(w.Servers) {
+		db := w.Servers[srv].DB()
 		fmt.Fprintf(&b, "ns p%v\n", srv)
 		for _, l := range db.LWGs() {
 			for _, e := range db.Live(l) {

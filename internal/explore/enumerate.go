@@ -305,7 +305,7 @@ func (w *world) enabledOps(sc Scope) []Op {
 	if len(w.crashed) < sc.Crashes {
 		for i := 0; i < sc.Nodes; i++ {
 			p := ids.ProcessID(i)
-			if !w.isServer[p] && !w.crashed[p] {
+			if w.Servers[p] == nil && !w.crashed[p] {
 				out = append(out, Op{Kind: OpCrash, P: p})
 			}
 		}

@@ -135,7 +135,6 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 			NameServers: serverPids,
 			Service:     svcCfg,
 			Naming:      nsCfg,
-			Upcalls:     nopUpcalls{},
 			Tracer:      rec,
 			Seed:        s.Seed*1009 + int64(i),
 		})

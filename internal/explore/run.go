@@ -2,7 +2,6 @@ package explore
 
 import (
 	"plwg/internal/check"
-	"plwg/internal/ids"
 	"plwg/internal/trace"
 )
 
@@ -26,13 +25,6 @@ type Result struct {
 
 // Failed reports whether the run violated an invariant or livelocked.
 func (r Result) Failed() bool { return len(r.Violations) > 0 || !r.Completed }
-
-// nopUpcalls discards the application upcalls; the checker consumes the
-// structured trace instead.
-type nopUpcalls struct{}
-
-func (nopUpcalls) View(ids.LWGID, ids.View)              {}
-func (nopUpcalls) Data(ids.LWGID, ids.ProcessID, []byte) {}
 
 // Run executes the schedule against the full stack — endpoints, virtual
 // synchrony substrate, naming servers, simulated network — and checks

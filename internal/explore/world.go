@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"plwg/internal/check"
+	"plwg/internal/cluster"
 	"plwg/internal/core"
 	"plwg/internal/ids"
 	"plwg/internal/naming"
 	"plwg/internal/netsim"
-	"plwg/internal/sim"
 	"plwg/internal/trace"
 )
 
@@ -23,14 +23,9 @@ import (
 // A world is single-use: after finish() the quiescence window has been
 // consumed and no further operations may be applied.
 type world struct {
+	*cluster.Cluster
 	sched  Schedule
-	eng    *sim.Sim
-	nw     *netsim.Network
 	tracer *trace.Recorder
-
-	eps      map[ids.ProcessID]*core.Endpoint
-	servers  map[ids.ProcessID]*naming.Server
-	isServer map[ids.ProcessID]bool
 
 	// memberOf is the intended membership: the joins minus the leaves
 	// and crashes the schedule performed (the checker's Expected set).
@@ -58,57 +53,37 @@ func newWorld(s Schedule) *world {
 	w := &world{
 		sched:     s,
 		tracer:    &trace.Recorder{},
-		eps:       make(map[ids.ProcessID]*core.Endpoint, s.Nodes),
-		servers:   make(map[ids.ProcessID]*naming.Server),
-		isServer:  make(map[ids.ProcessID]bool),
 		memberOf:  make(map[ids.LWGID]map[ids.ProcessID]bool),
 		crashed:   make(map[ids.ProcessID]bool),
 		completed: true,
 	}
-	w.eng = sim.New(s.Seed)
-	w.nw = netsim.New(w.eng, netsim.DefaultParams())
-
 	cfg := core.DefaultConfig()
 	cfg.PolicyInterval = time.Hour // policy runs only via OpPolicy
 	// Short mapping leases so mappings orphaned by crashed views expire
 	// within the quiescence window (genealogy GC cannot collect them).
 	cfg.MappingRefreshInterval = 2 * time.Second
-	nsCfg := naming.Config{MappingTTL: 8 * time.Second}
-
-	serverPids := s.Servers()
-	for i := 0; i < s.Nodes; i++ {
-		pid := ids.ProcessID(i)
-		mux := netsim.NewMux()
-		w.eps[pid] = core.New(core.Params{
-			Net:     w.nw,
-			PID:     pid,
-			Servers: serverPids,
-			Config:  cfg,
-			Upcalls: nopUpcalls{},
-			Tracer:  w.tracer,
-		}, mux)
-		for _, sp := range serverPids {
-			if sp == pid {
-				srv := naming.NewServer(naming.ServerParams{
-					Net: w.nw, PID: pid, Peers: serverPids, Config: nsCfg, Tracer: w.tracer,
-				})
-				mux.Handle(naming.ServerPrefix, srv.HandleMessage)
-				srv.Start()
-				w.servers[pid] = srv
-			}
-		}
-		w.nw.AddNode(pid, mux.Handler())
-	}
-	for _, p := range serverPids {
-		w.isServer[p] = true
-	}
+	w.Cluster = cluster.New(cluster.Config{
+		Nodes:    s.Nodes,
+		Seed:     s.Seed,
+		Net:      netsim.DefaultParams(),
+		Endpoint: core.Params{Servers: s.Servers(), Config: cfg, Tracer: w.tracer},
+		Naming:   naming.Config{MappingTTL: 8 * time.Second},
+	})
 	for _, l := range s.LWGs {
 		w.memberOf[l] = make(map[ids.ProcessID]bool)
 	}
 	w.lwgList = append([]ids.LWGID(nil), s.LWGs...)
 	sort.Slice(w.lwgList, func(i, j int) bool { return w.lwgList[i] < w.lwgList[j] })
-	w.serverList = sortedServerPids(w.servers)
+	w.serverList = sortedServerPids(w.Servers)
 	return w
+}
+
+// ep returns p's endpoint, nil when p is outside the world.
+func (w *world) ep(p ids.ProcessID) *core.Endpoint {
+	if p >= 0 && int(p) < len(w.Endpoints) {
+		return w.Endpoints[p]
+	}
+	return nil
 }
 
 // advance runs the simulation for d of virtual time under the global step
@@ -117,7 +92,7 @@ func (w *world) advance(d time.Duration) {
 	if !w.completed {
 		return
 	}
-	if !w.eng.RunForCapped(d, maxSteps-w.eng.Steps()) {
+	if !w.Sim.RunForCapped(d, maxSteps-w.Sim.Steps()) {
 		w.completed = false
 	}
 }
@@ -131,18 +106,18 @@ func (w *world) apply(op Op) {
 	s := w.sched
 	switch op.Kind {
 	case OpJoin:
-		if ep := w.eps[op.P]; ep != nil && w.known(op.LWG) && !w.crashed[op.P] && !w.memberOf[op.LWG][op.P] {
+		if ep := w.ep(op.P); ep != nil && w.known(op.LWG) && !w.crashed[op.P] && !w.memberOf[op.LWG][op.P] {
 			if err := ep.Join(op.LWG); err == nil {
 				w.memberOf[op.LWG][op.P] = true
 			}
 		}
 	case OpLeave:
-		if ep := w.eps[op.P]; ep != nil && w.known(op.LWG) && !w.crashed[op.P] && w.memberOf[op.LWG][op.P] {
+		if ep := w.ep(op.P); ep != nil && w.known(op.LWG) && !w.crashed[op.P] && w.memberOf[op.LWG][op.P] {
 			_ = ep.Leave(op.LWG)
 			delete(w.memberOf[op.LWG], op.P)
 		}
 	case OpSend:
-		if ep := w.eps[op.P]; ep != nil && w.known(op.LWG) && !w.crashed[op.P] && w.memberOf[op.LWG][op.P] {
+		if ep := w.ep(op.P); ep != nil && w.known(op.LWG) && !w.crashed[op.P] && w.memberOf[op.LWG][op.P] {
 			w.msgID++
 			_ = ep.Send(op.LWG, []byte(fmt.Sprintf("m%d", w.msgID)))
 		}
@@ -156,15 +131,15 @@ func (w *world) apply(op Op) {
 					b = append(b, ids.ProcessID(i))
 				}
 			}
-			w.nw.SetPartitions(a, b)
+			w.Net.SetPartitions(a, b)
 			w.cut = op.Cut
 		}
 	case OpHeal:
-		w.nw.Heal()
+		w.Net.Heal()
 		w.cut = 0
 	case OpCrash:
-		if int(op.P) < s.Nodes && !w.isServer[op.P] && !w.crashed[op.P] {
-			w.nw.Crash(op.P)
+		if int(op.P) < s.Nodes && w.Servers[op.P] == nil && !w.crashed[op.P] {
+			w.Net.Crash(op.P)
 			w.crashed[op.P] = true
 			for _, l := range s.LWGs {
 				delete(w.memberOf[l], op.P)
@@ -174,7 +149,7 @@ func (w *world) apply(op Op) {
 		// Process order, so message emission is deterministic.
 		for i := 0; i < s.Nodes; i++ {
 			if p := ids.ProcessID(i); !w.crashed[p] {
-				w.eps[p].RunPolicyNow()
+				w.Endpoints[p].RunPolicyNow()
 			}
 		}
 	case OpWait:
@@ -197,12 +172,12 @@ func (w *world) expected() map[ids.LWGID]ids.Members {
 
 // checkWorld snapshots the world for the invariant checker.
 func (w *world) checkWorld() *check.World {
-	procs := make(map[ids.ProcessID]check.Process, len(w.eps))
-	for p, ep := range w.eps {
-		procs[p] = ep
+	procs := make(map[ids.ProcessID]check.Process, len(w.Endpoints))
+	for i, ep := range w.Endpoints {
+		procs[ids.ProcessID(i)] = ep
 	}
-	dbs := make(map[ids.ProcessID]*naming.DB, len(w.servers))
-	for p, srv := range w.servers {
+	dbs := make(map[ids.ProcessID]*naming.DB, len(w.Servers))
+	for p, srv := range w.Servers {
 		dbs[p] = srv.DB()
 	}
 	return &check.World{
@@ -220,7 +195,7 @@ func (w *world) checkWorld() *check.World {
 // state's liveness-probe trajectory as that state's own settle timeline
 // (engine.go).
 func (w *world) heal() {
-	w.nw.Heal()
+	w.Net.Heal()
 	w.cut = 0
 }
 

@@ -142,8 +142,10 @@ func (d *Driver) Start() {
 	})
 }
 
-// Close stops the loop and waits for it to exit.
+// Close stops the loop and waits for it to exit. A driver never started
+// has no loop to wait for, and cannot be started afterwards.
 func (d *Driver) Close() {
+	d.startOnce.Do(func() { close(d.done) })
 	d.stopOnce.Do(func() { close(d.stop) })
 	<-d.done
 }

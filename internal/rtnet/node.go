@@ -3,6 +3,7 @@ package rtnet
 import (
 	"fmt"
 	"net"
+	"slices"
 
 	"plwg/internal/core"
 	"plwg/internal/ids"
@@ -139,12 +140,17 @@ func (n *Node) SetPeers(peers map[ids.ProcessID]string) error {
 
 // Start assembles the protocol stack and begins processing.
 func (n *Node) Start() error {
+	for i, sp := range n.cfg.NameServers {
+		if slices.Contains(n.cfg.NameServers[:i], sp) {
+			return fmt.Errorf("name server %v listed twice", sp)
+		}
+	}
 	if len(n.tr.peers) == 0 && len(n.cfg.Peers) > 0 {
 		if err := n.SetPeers(n.cfg.Peers); err != nil {
 			return err
 		}
 	}
-	n.ep = core.New(core.Params{
+	n.ep, n.srv = core.NewNode(core.Params{
 		Net:     n.tr,
 		PID:     n.cfg.PID,
 		Servers: n.cfg.NameServers,
@@ -153,18 +159,7 @@ func (n *Node) Start() error {
 		Upcalls: n.cfg.Upcalls,
 		Tracer:  n.cfg.Tracer,
 		Metrics: n.cfg.Metrics,
-	}, n.mux)
-	for _, sp := range n.cfg.NameServers {
-		if sp == n.cfg.PID {
-			n.srv = naming.NewServer(naming.ServerParams{
-				Net: n.tr, PID: n.cfg.PID, Peers: n.cfg.NameServers,
-				Config: n.cfg.Naming, Tracer: n.cfg.Tracer,
-				Metrics: n.cfg.Metrics,
-			})
-			n.mux.Handle(naming.ServerPrefix, n.srv.HandleMessage)
-			n.srv.Start()
-		}
-	}
+	}, n.cfg.Naming, n.mux)
 	n.tr.SetHandler(n.mux.Handler())
 	n.tr.Start()
 	n.d.Start()

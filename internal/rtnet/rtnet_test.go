@@ -92,6 +92,20 @@ func startClusterOn(t *testing.T, n int, servers []ids.ProcessID, pc PipelineCon
 	return nodes, cols
 }
 
+// TestStartRejectsRepeatedNameServer: a node listed twice would host two
+// naming servers and appear twice in every peer list. Start refuses, and
+// the never-started node still closes.
+func TestStartRejectsRepeatedNameServer(t *testing.T) {
+	node, err := Listen(NodeConfig{PID: 1, Listen: "127.0.0.1:0", NameServers: []ids.ProcessID{0, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err, want := node.Start(), "name server p1 listed twice"; err == nil || err.Error() != want {
+		t.Fatalf("Start = %v, want %q", err, want)
+	}
+}
+
 // eventually polls cond (on the test goroutine) until it holds or the
 // real-time deadline passes.
 func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {

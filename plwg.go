@@ -40,14 +40,15 @@ package plwg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"plwg/internal/cluster"
 	"plwg/internal/core"
 	"plwg/internal/ids"
 	"plwg/internal/naming"
 	"plwg/internal/netsim"
-	"plwg/internal/sim"
 	"plwg/internal/trace"
 	"plwg/internal/vsync"
 )
@@ -96,11 +97,9 @@ type Config struct {
 // methods must be called from one goroutine; time only advances inside
 // Run/RunUntil.
 type Cluster struct {
-	sim     *sim.Sim
-	net     *netsim.Network
-	procs   []*Process
-	servers map[ProcessID]*naming.Server
-	tracer  *trace.Recorder
+	w      *cluster.Cluster
+	procs  []*Process
+	tracer *trace.Recorder
 }
 
 // Process is one node's light-weight group service instance.
@@ -177,48 +176,37 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if n < 0 || n >= cfg.Nodes {
 			return nil, fmt.Errorf("plwg: name server index %d out of range", n)
 		}
+		if slices.Contains(serverIdx[:i], n) {
+			return nil, fmt.Errorf("plwg: name server index %d listed twice", n)
+		}
 		serverPids[i] = ProcessID(n)
 	}
 
-	s := sim.New(cfg.Seed)
-	nw := netsim.New(s, cfg.Net)
-	c := &Cluster{
-		sim:     s,
-		net:     nw,
-		servers: make(map[ProcessID]*naming.Server),
-	}
-	var tr trace.Tracer = trace.Nop{}
+	c := &Cluster{}
+	var tr trace.Tracer
 	if cfg.CollectTrace {
 		c.tracer = &trace.Recorder{}
 		tr = c.tracer
 	}
-
-	for i := 0; i < cfg.Nodes; i++ {
-		pid := ProcessID(i)
-		mux := netsim.NewMux()
-		p := &Process{cluster: c, pid: pid, groups: make(map[GroupName]*Group)}
-		p.ep = core.New(core.Params{
-			Net:     nw,
-			PID:     pid,
+	c.w = cluster.New(cluster.Config{
+		Nodes: cfg.Nodes,
+		Seed:  cfg.Seed,
+		Net:   cfg.Net,
+		Endpoint: core.Params{
 			Servers: serverPids,
 			Config:  cfg.Service,
 			Vsync:   cfg.Vsync,
-			Upcalls: (*upcallRouter)(p),
 			Tracer:  tr,
-		}, mux)
-		for _, sp := range serverPids {
-			if sp == pid {
-				srv := naming.NewServer(naming.ServerParams{
-					Net: nw, PID: pid, Peers: serverPids,
-					Config: cfg.Naming, Tracer: tr,
-				})
-				mux.Handle(naming.ServerPrefix, srv.HandleMessage)
-				srv.Start()
-				c.servers[pid] = srv
-			}
-		}
-		nw.AddNode(pid, mux.Handler())
-		c.procs = append(c.procs, p)
+		},
+		Naming: cfg.Naming,
+		Upcalls: func(pid ProcessID) core.Upcalls {
+			p := &Process{cluster: c, pid: pid, groups: make(map[GroupName]*Group)}
+			c.procs = append(c.procs, p)
+			return (*upcallRouter)(p)
+		},
+	})
+	for i, p := range c.procs {
+		p.ep = c.w.Endpoints[i]
 	}
 	return c, nil
 }
@@ -236,23 +224,23 @@ func (c *Cluster) Nodes() int { return len(c.procs) }
 
 // Run advances virtual time by d, executing all protocol activity due in
 // that window.
-func (c *Cluster) Run(d time.Duration) { c.sim.RunFor(d) }
+func (c *Cluster) Run(d time.Duration) { c.w.Sim.RunFor(d) }
 
 // RunUntil advances time in steps until pred returns true or max virtual
 // time has passed, and reports whether pred held.
 func (c *Cluster) RunUntil(pred func() bool, step, max time.Duration) bool {
-	deadline := c.sim.Now().Add(max)
+	deadline := c.w.Sim.Now().Add(max)
 	for !pred() {
-		if c.sim.Now() >= deadline {
+		if c.w.Sim.Now() >= deadline {
 			return false
 		}
-		c.sim.RunFor(step)
+		c.w.Sim.RunFor(step)
 	}
 	return true
 }
 
 // Now returns the elapsed virtual time.
-func (c *Cluster) Now() time.Duration { return c.sim.Now().Duration() }
+func (c *Cluster) Now() time.Duration { return c.w.Sim.Now().Duration() }
 
 // Partition splits the network into the given components (node indices).
 // Unlisted nodes form an implicit extra component.
@@ -263,20 +251,20 @@ func (c *Cluster) Partition(components ...[]int) {
 			groups[i] = append(groups[i], ProcessID(n))
 		}
 	}
-	c.net.SetPartitions(groups...)
+	c.w.Net.SetPartitions(groups...)
 }
 
 // Heal removes all partitions.
-func (c *Cluster) Heal() { c.net.Heal() }
+func (c *Cluster) Heal() { c.w.Net.Heal() }
 
 // Crash permanently crashes node i.
-func (c *Cluster) Crash(i int) { c.net.Crash(ProcessID(i)) }
+func (c *Cluster) Crash(i int) { c.w.Net.Crash(ProcessID(i)) }
 
 // NetStats returns the network traffic counters.
-func (c *Cluster) NetStats() netsim.Stats { return c.net.Stats() }
+func (c *Cluster) NetStats() netsim.Stats { return c.w.Net.Stats() }
 
 // ResetNetStats zeroes the network traffic counters.
-func (c *Cluster) ResetNetStats() { c.net.ResetStats() }
+func (c *Cluster) ResetNetStats() { c.w.Net.ResetStats() }
 
 // Trace returns the protocol trace recorder (nil unless
 // Config.CollectTrace was set).
@@ -287,7 +275,7 @@ func (c *Cluster) Trace() *trace.Recorder { return c.tracer }
 func (c *Cluster) NamingDump() string {
 	var b strings.Builder
 	for _, p := range c.procs {
-		if srv, ok := c.servers[p.pid]; ok {
+		if srv, ok := c.w.Servers[p.pid]; ok {
 			fmt.Fprintf(&b, "server %v:\n%s", p.pid, indent(srv.DB().Dump()))
 		}
 	}

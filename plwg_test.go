@@ -2,6 +2,7 @@ package plwg
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,65 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if c.Nodes() != 2 {
 		t.Errorf("Nodes = %d", c.Nodes())
+	}
+}
+
+// TestRepeatedNameServerRejected: a node listed twice would host two
+// servers, one orphaned but still syncing, and every peer list would
+// carry it twice.
+func TestRepeatedNameServerRejected(t *testing.T) {
+	_, err := NewCluster(Config{Nodes: 3, NameServers: []int{0, 1, 1}})
+	if want := "plwg: name server index 1 listed twice"; err == nil || err.Error() != want {
+		t.Fatalf("NewCluster = %v, want %q", err, want)
+	}
+}
+
+// TestClusterTrajectoryPinned pins the exact virtual-time trajectory of a
+// seeded script — joins on both sides of a partition (conflicting
+// mappings), heal, crash — by the FNV-64a hash of its rendered trace. Any
+// change to construction order, timers or RNG draws moves it; a change
+// that does so on purpose updates the constants and says why.
+func TestClusterTrajectoryPinned(t *testing.T) {
+	const wantEvents, wantHash = 439, uint64(0xdf1cecbf95eda345)
+	var cfg Config
+	cfg.Nodes, cfg.NameServers, cfg.Seed = 8, []int{0, 4}, 29
+	cfg.Service.PolicyInterval = 10 * time.Second
+	cfg.CollectTrace = true
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Partition([]int{0, 1, 2, 3}, []int{4, 5, 6, 7})
+	join := func(p int, g GroupName) *Group {
+		h, err := c.Process(p).Join(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	a1, _, a5, _ := join(1, "a"), join(2, "b"), join(5, "a"), join(6, "b")
+	c.Run(3 * time.Second)
+	join(2, "a")
+	join(1, "b")
+	join(6, "a")
+	join(5, "b")
+	c.Run(3 * time.Second)
+	_ = a1.Send([]byte("left"))
+	_ = a5.Send([]byte("right"))
+	c.Heal()
+	c.Run(10 * time.Second)
+	c.Crash(6)
+	c.Run(5 * time.Second)
+	_ = a1.Send([]byte("after"))
+	c.Run(time.Second)
+
+	h := fnv.New64a()
+	for _, e := range c.Trace().Events {
+		fmt.Fprintf(h, "%d %s\n", int64(e.At), e)
+	}
+	if n, sum := len(c.Trace().Events), h.Sum64(); n != wantEvents || sum != wantHash {
+		t.Fatalf("trajectory moved: %d events, hash %#x; pinned %d events, hash %#x",
+			n, sum, wantEvents, wantHash)
 	}
 }
 
