@@ -16,7 +16,6 @@ import (
 	"plwg/internal/explore"
 	"plwg/internal/naming"
 	"plwg/internal/rtnet"
-	"plwg/internal/vsync"
 )
 
 var updateSurface = flag.Bool("update", false, "rewrite testdata/config_surface.golden")
@@ -29,7 +28,7 @@ var updateSurface = flag.Bool("update", false, "rewrite testdata/config_surface.
 func TestConfigSurface(t *testing.T) {
 	var lines []string
 	for _, cfg := range []any{
-		Config{}, cluster.Config{}, core.Config{}, vsync.Config{}, naming.Config{},
+		Config{}, cluster.Config{}, core.Config{}, naming.Config{},
 		rtnet.NodeConfig{}, rtnet.PipelineConfig{}, explore.EnumConfig{}, bench.Options{},
 	} {
 		typ := reflect.TypeOf(cfg)

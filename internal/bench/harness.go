@@ -155,13 +155,11 @@ func (h *Harness) buildNoLWG(seed int64) {
 	h.S = sim.New(seed)
 	h.NW = netsim.New(h.S, netsim.DefaultParams())
 	h.stacks = make(map[ids.ProcessID]*vsync.Stack)
-	cfg := vsync.DefaultConfig()
-	cfg.AutoStopOk = true
 	for i := 0; i < h.Topo.Procs; i++ {
 		pid := ids.ProcessID(i)
 		up := &noLWGUpcalls{h: h, pid: pid}
 		st := vsync.NewStack(vsync.Params{
-			Net: h.NW, PID: pid, Config: cfg, Upcalls: up, Tracer: h.opts.Tracer,
+			Net: h.NW, PID: pid, Upcalls: up, Tracer: h.opts.Tracer,
 			Metrics: h.opts.Metrics,
 		})
 		mux := netsim.NewMux()
@@ -189,7 +187,8 @@ func (u *noLWGUpcalls) Data(gid ids.HWGID, src ids.ProcessID, payload vsync.Payl
 	}
 }
 
-func (u *noLWGUpcalls) Stop(ids.HWGID) {}
+// Stop acknowledges at once: the bare groups have nothing to quiesce.
+func (u *noLWGUpcalls) Stop(gid ids.HWGID) { _ = u.h.stacks[u.pid].StopOk(gid) }
 
 func (h *Harness) buildLWG(seed int64, static bool) {
 	svcCfg := core.DefaultConfig()

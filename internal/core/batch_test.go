@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"plwg/internal/ids"
-	"plwg/internal/naming"
-	"plwg/internal/vsync"
 )
 
 // batchCfg keeps a send parked in the batch indefinitely so a test can
@@ -127,14 +125,14 @@ func TestBatchFIFOAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestBatchTotalOrderAcrossBatches runs two concurrent senders in
-// total-order mode with batching active: every member must deliver the
-// identical interleaving, and each sender's messages stay in send order.
+// TestBatchTotalOrderAcrossBatches runs two concurrent senders with
+// batching active: every member must deliver the identical interleaving
+// (the simulated bus's single frame order, which the LWG flush relies
+// on), and each sender's messages stay in send order.
 func TestBatchTotalOrderAcrossBatches(t *testing.T) {
 	cfg := testCfg()
 	cfg.MaxBatchBytes = 100
-	w := newCWorldVS(t, 4, []ids.ProcessID{0}, cfg, naming.Config{},
-		vsync.Config{Ordering: vsync.OrderingTotal})
+	w := newCWorld(t, 4, []ids.ProcessID{0}, cfg)
 	for _, p := range []ids.ProcessID{1, 2, 3} {
 		if err := w.eps[p].Join("a"); err != nil {
 			t.Fatal(err)

@@ -154,7 +154,6 @@ type Params struct {
 	// Servers lists the naming-server nodes.
 	Servers []ids.ProcessID
 	Config  Config
-	Vsync   vsync.Config
 	Upcalls Upcalls
 	Tracer  trace.Tracer
 	// Metrics receives the endpoint's (and the underlying stacks')
@@ -288,7 +287,6 @@ func NewNode(p Params, ns naming.Config, mux *netsim.Mux) (*Endpoint, *naming.Se
 	e.hwg = vsync.NewStack(vsync.Params{
 		Net:     p.Net,
 		PID:     p.PID,
-		Config:  p.Vsync,
 		Upcalls: (*hwgUpcalls)(e),
 		Tracer:  tr,
 		Metrics: p.Metrics,

@@ -11,7 +11,6 @@ import (
 	"plwg/internal/netsim"
 	"plwg/internal/sim"
 	"plwg/internal/trace"
-	"plwg/internal/vsync"
 )
 
 // cEntry is one upcall observed by a test process.
@@ -69,12 +68,8 @@ func newCWorld(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config) *cWo
 }
 
 func newCWorldNS(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, nsCfg naming.Config) *cWorld {
-	return newCWorldVS(t, n, serverPids, cfg, nsCfg, vsync.Config{})
-}
-
-func newCWorldVS(t *testing.T, n int, serverPids []ids.ProcessID, cfg Config, nsCfg naming.Config, vsCfg vsync.Config) *cWorld {
 	t.Helper()
-	return buildCWorld(t, n, Params{Servers: serverPids, Config: cfg, Vsync: vsCfg}, nsCfg, nil)
+	return buildCWorld(t, n, Params{Servers: serverPids, Config: cfg}, nsCfg, nil)
 }
 
 // buildCWorld builds n nodes from the Params template. Every node sends

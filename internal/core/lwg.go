@@ -441,14 +441,14 @@ func (m *lwgMember) onLeaveReq(from ids.ProcessID) {
 
 // maybeLwgReconfig runs the LWG join/leave protocol: a LWG-level flush
 // (lwgStop / lwgFlushOk among the LWG's members only) followed by the new
-// view announcement. The HWG multicast is per-sender FIFO (OrderingFIFO by
-// default), so each member's old-view data precedes its lwgFlushOk and
+// view announcement. The HWG multicast is per-sender FIFO, so each
+// member's old-view data precedes its lwgFlushOk and
 // the coordinator has delivered all of it before it sends lwgView. That
 // every other member also delivers that data before lwgView is not an HWG
 // guarantee: it holds because the network hands every receiver the frames
 // in one order (the simulated shared bus). Data lost at one member and
 // repaired after lwgView arrives is dropped there as an ancestor-view
-// message (onLwgData) — ROADMAP direction 5.
+// message (onLwgData) — ROADMAP direction 2.
 func (m *lwgMember) maybeLwgReconfig() {
 	e := m.e
 	if m.state != lwgActive || m.fl != nil {

@@ -263,14 +263,7 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 	}
 	time.Sleep(quiesce - stress)
 
-	expected := make(map[ids.LWGID]ids.Members)
-	for _, l := range sortedGroups(memberOf) {
-		var ms []ids.ProcessID
-		for p := range memberOf[l] {
-			ms = append(ms, p)
-		}
-		expected[l] = ids.NewMembers(ms...)
-	}
+	expected := expectedMembers(memberOf)
 
 	buildWorld := func() *check.World {
 		procs := make(map[ids.ProcessID]check.Process)

@@ -14,7 +14,6 @@ package explore
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -378,12 +377,16 @@ func parseOp(fields []string) (Op, error) {
 	return op, nil
 }
 
-// sortedGroups returns the map's keys in deterministic order.
-func sortedGroups(m map[ids.LWGID]map[ids.ProcessID]bool) []ids.LWGID {
-	out := make([]ids.LWGID, 0, len(m))
-	for l := range m {
-		out = append(out, l)
+// expectedMembers computes the membership every group should converge
+// to: the processes the schedule left joined to it.
+func expectedMembers(memberOf map[ids.LWGID]map[ids.ProcessID]bool) map[ids.LWGID]ids.Members {
+	out := make(map[ids.LWGID]ids.Members, len(memberOf))
+	for l, ps := range memberOf {
+		ms := make([]ids.ProcessID, 0, len(ps))
+		for p := range ps {
+			ms = append(ms, p)
+		}
+		out[l] = ids.NewMembers(ms...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

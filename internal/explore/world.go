@@ -157,19 +157,6 @@ func (w *world) apply(op Op) {
 	}
 }
 
-// expected computes the membership every group should converge to.
-func (w *world) expected() map[ids.LWGID]ids.Members {
-	out := make(map[ids.LWGID]ids.Members)
-	for _, l := range sortedGroups(w.memberOf) {
-		var ms []ids.ProcessID
-		for p := range w.memberOf[l] {
-			ms = append(ms, p)
-		}
-		out[l] = ids.NewMembers(ms...)
-	}
-	return out
-}
-
 // checkWorld snapshots the world for the invariant checker.
 func (w *world) checkWorld() *check.World {
 	procs := make(map[ids.ProcessID]check.Process, len(w.Endpoints))
@@ -184,7 +171,7 @@ func (w *world) checkWorld() *check.World {
 		Events:   injectFault(w.tracer.Events, w.sched.Fault),
 		Procs:    procs,
 		Servers:  dbs,
-		Expected: w.expected(),
+		Expected: expectedMembers(w.memberOf),
 		Crashed:  w.crashed,
 	}
 }

@@ -321,13 +321,9 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Totals gives one value per counter family: the sum across its labels,
-// or — when the family also has an unlabelled entry — that entry alone:
-// a layer that counts an event once in total and once per label keeps
-// the total unlabelled, and adding the labelled twins on top would count
-// every event twice. The aggregate is what the benchmark baseline
-// records: bounded in size no matter how many per-group label values the
-// run created.
+// Totals gives one value per counter family: the sum across its labels.
+// The aggregate is what the benchmark baseline records: bounded in size
+// no matter how many per-group label values the run created.
 func (r *Registry) Totals() map[string]int64 {
 	if r == nil {
 		return nil
@@ -337,10 +333,6 @@ func (r *Registry) Totals() map[string]int64 {
 	defer r.mu.Unlock()
 	for _, f := range r.families {
 		if f.kind != KindCounter {
-			continue
-		}
-		if e, ok := f.entries[labelKey(nil)]; ok {
-			out[f.name] = e.c.Value()
 			continue
 		}
 		for _, e := range f.entries {

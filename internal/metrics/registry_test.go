@@ -115,10 +115,9 @@ func TestRegistrySnapshotAndTotals(t *testing.T) {
 	}
 }
 
-// TestTotalsUnlabelledEntryIsTheTotal: a family holding both an
-// unlabelled aggregate and per-label twins of the same events totals to
-// the aggregate, not to twice it.
-func TestTotalsUnlabelledEntryIsTheTotal(t *testing.T) {
+// TestTotalsSumsEachFamily: a counter family totals to the sum of its
+// entries, whatever their label keys, and each family on its own.
+func TestTotalsSumsEachFamily(t *testing.T) {
 	type inc struct {
 		labels []Label
 		n      int64
@@ -130,8 +129,6 @@ func TestTotalsUnlabelledEntryIsTheTotal(t *testing.T) {
 	}{
 		{"labelled only: summed", []inc{{[]Label{L("lwg", "a")}, 3}, {[]Label{L("lwg", "b")}, 4}}, 7},
 		{"unlabelled only", []inc{{nil, 5}}, 5},
-		{"both: the unlabelled entry", []inc{{[]Label{L("lwg", "a")}, 3}, {nil, 7}, {[]Label{L("lwg", "b")}, 4}}, 7},
-		{"both, aggregate still zero", []inc{{nil, 0}, {[]Label{L("lwg", "a")}, 3}}, 0},
 		{"two label keys, no aggregate", []inc{{[]Label{L("hwg", "1"), L("lwg", "a")}, 2}, {[]Label{L("lwg", "a")}, 2}}, 4},
 	}
 	for _, c := range cases {

@@ -11,7 +11,6 @@ import (
 	"plwg/internal/naming"
 	"plwg/internal/netsim"
 	"plwg/internal/trace"
-	"plwg/internal/vsync"
 )
 
 // NodeConfig describes one live process of the light-weight group
@@ -29,9 +28,8 @@ type NodeConfig struct {
 	// NameServers lists the processes hosting naming replicas; if PID is
 	// among them, this node runs a server too.
 	NameServers []ids.ProcessID
-	// Service, Vsync and Naming override protocol configuration.
+	// Service and Naming override protocol configuration.
 	Service core.Config
-	Vsync   vsync.Config
 	Naming  naming.Config
 	// Upcalls receives View/Data callbacks — ON THE DRIVER LOOP
 	// GOROUTINE. Hand off to channels for application work.
@@ -155,7 +153,6 @@ func (n *Node) Start() error {
 		PID:     n.cfg.PID,
 		Servers: n.cfg.NameServers,
 		Config:  n.cfg.Service,
-		Vsync:   n.cfg.Vsync,
 		Upcalls: n.cfg.Upcalls,
 		Tracer:  n.cfg.Tracer,
 		Metrics: n.cfg.Metrics,

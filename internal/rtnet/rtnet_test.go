@@ -8,7 +8,6 @@ import (
 
 	"plwg/internal/core"
 	"plwg/internal/ids"
-	"plwg/internal/vsync"
 )
 
 // collector receives upcalls (on the driver loop) and hands them to the
@@ -223,86 +222,6 @@ func TestUDPPartitionAndHeal(t *testing.T) {
 		vB, okB := cols[2].lastView()
 		return okA && okB && vA.ID == vB.ID && len(vA.Members) == 4
 	}, "views did not merge after the heal")
-}
-
-// TestUDPTotalOrder runs total-order delivery over real UDP: datagrams
-// from different senders genuinely race, and every member must still
-// deliver the identical sequence.
-func TestUDPTotalOrder(t *testing.T) {
-	nodes := make([]*Node, 3)
-	cols := make([]*collector, 3)
-	for i := 0; i < 3; i++ {
-		cols[i] = &collector{}
-		node, err := Listen(NodeConfig{
-			PID:         ids.ProcessID(i),
-			Listen:      "127.0.0.1:0",
-			NameServers: []ids.ProcessID{0},
-			Vsync:       vsync.Config{Ordering: vsync.OrderingTotal},
-			Upcalls:     cols[i],
-			Seed:        int64(i + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	peers := make(map[ids.ProcessID]string, 3)
-	for i, node := range nodes {
-		peers[ids.ProcessID(i)] = node.Addr().String()
-	}
-	for _, node := range nodes {
-		if err := node.SetPeers(peers); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	})
-
-	for i := 0; i < 3; i++ {
-		nodes[i].Do(func(ep *core.Endpoint) { _ = ep.Join("ord") })
-	}
-	eventually(t, 20*time.Second, func() bool {
-		v, ok := cols[0].lastView()
-		return ok && len(v.Members) == 3
-	}, "no convergence")
-
-	// Concurrent bursts from all three nodes.
-	const perSender = 20
-	for r := 0; r < perSender; r++ {
-		for i := 0; i < 3; i++ {
-			i, r := i, r
-			nodes[i].Do(func(ep *core.Endpoint) {
-				_ = ep.Send("ord", []byte(fmt.Sprintf("m%d", r)))
-			})
-		}
-	}
-	eventually(t, 20*time.Second, func() bool {
-		for _, c := range cols {
-			if len(c.dataCopy()) < 3*perSender {
-				return false
-			}
-		}
-		return true
-	}, "not all messages delivered")
-
-	ref := cols[0].dataCopy()
-	for i := 1; i < 3; i++ {
-		got := cols[i].dataCopy()
-		if len(got) != len(ref) {
-			t.Fatalf("node %d delivered %d, node 0 delivered %d", i, len(got), len(ref))
-		}
-		for j := range ref {
-			if got[j] != ref[j] {
-				t.Fatalf("total order violated over UDP at %d: %q vs %q", j, got[j], ref[j])
-			}
-		}
-	}
 }
 
 // TestDriverDoFromManyGoroutines hammers Do concurrently; the loop must

@@ -13,9 +13,9 @@ import (
 // reserved for this package.
 
 const (
-	wireMsgData byte = iota + 1
-	wireOrdToken
-	wireRetiredMsgAck // the per-message ack, deleted in PR 23
+	wireMsgData         byte = iota + 1
+	wireRetiredOrdToken      // the total-order token, deleted with the sequencer
+	wireRetiredMsgAck        // the per-message ack, deleted with its stability scheme
 	wireMsgAckVector
 	wireMsgHeartbeat
 	wireMsgNack
@@ -114,7 +114,6 @@ func (m *msgData) MarshalWire(b *wire.Buffer) bool {
 	b.ViewID(m.View)
 	b.PID(m.Sender)
 	b.Uint64(m.Seq)
-	b.Bool(m.Ordered)
 	putSeqMap(b, m.Acks)
 	if m.Payload == nil {
 		b.Byte(0)
@@ -133,7 +132,6 @@ func getMsgData(r *wire.Reader) (*msgData, error) {
 	m.View = r.ViewID()
 	m.Sender = r.PID()
 	m.Seq = r.Uint64()
-	m.Ordered = r.Bool()
 	m.Acks = getSeqMap(r)
 	if r.Bool() {
 		pm, err := wire.Decode(r)
@@ -162,7 +160,7 @@ func putMsgDatas(b *wire.Buffer, ds []*msgData) bool {
 }
 
 func getMsgDatas(r *wire.Reader) ([]*msgData, error) {
-	n := r.Count(8) // gid, view id 2, sender, seq, ordered, acks, payload flag
+	n := r.Count(7) // gid, view id 2, sender, seq, acks, payload flag
 	if n == 0 {
 		return nil, r.Err()
 	}
@@ -175,16 +173,6 @@ func getMsgDatas(r *wire.Reader) ([]*msgData, error) {
 		ds[i] = d
 	}
 	return ds, nil
-}
-
-// WireID implements wire.Marshaler.
-func (t *ordToken) WireID() byte { return wireOrdToken }
-
-// MarshalWire implements wire.Marshaler.
-func (t *ordToken) MarshalWire(b *wire.Buffer) bool {
-	putMsgKey(b, t.Key)
-	b.Uint64(t.Idx)
-	return true
 }
 
 // WireID implements wire.Marshaler.
@@ -334,12 +322,10 @@ func (m *msgNewView) MarshalWire(b *wire.Buffer) bool {
 }
 
 func init() {
+	wire.Retire(wireRetiredOrdToken)
 	wire.Retire(wireRetiredMsgAck)
 	wire.Register(wireMsgData, func(r *wire.Reader) (wire.Marshaler, error) {
 		return getMsgData(r)
-	})
-	wire.Register(wireOrdToken, func(r *wire.Reader) (wire.Marshaler, error) {
-		return &ordToken{Key: getMsgKey(r), Idx: r.Uint64()}, r.Err()
 	})
 	wire.Register(wireMsgAckVector, func(r *wire.Reader) (wire.Marshaler, error) {
 		m := &msgAckVector{GID: r.HWG()}

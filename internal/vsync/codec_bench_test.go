@@ -44,8 +44,10 @@ func FuzzVsyncCodec(f *testing.F) { wiretest.FuzzCodec(f) }
 func TestCodecRoundTrip(t *testing.T) {
 	msgs := []wire.Marshaler{
 		benchMsgData(),
-		&msgData{GID: 1, View: vid(2, 9), Sender: 2, Seq: 1, Ordered: true},
-		&ordToken{Key: msgKey{View: vid(1, 4), Sender: 7, Seq: 19}, Idx: 3},
+		&msgData{GID: 1, View: vid(2, 9), Sender: 2, Seq: 1},
+		// The smallest copy a retransmission can carry: seven one-byte
+		// fields, the minimum getMsgDatas checks its count against.
+		&msgRetrans{GID: 1, Msgs: []*msgData{{GID: 1, View: vid(2, 9), Sender: 2, Seq: 1}}},
 		&msgAckVector{GID: 2, View: vid(5, 8), From: 3,
 			MaxSeq: map[ids.ProcessID]uint64{1: 10, 4: 7}},
 		&msgHeartbeat{GID: 9, From: 2, View: vid(2, 2), MaxSeq: 55},

@@ -24,7 +24,7 @@ func TestDebugConvergence(t *testing.T) {
 	stacks := make(map[ids.ProcessID]*Stack)
 	for i := 0; i < 6; i++ {
 		pid := ids.ProcessID(i)
-		st := NewStack(Params{Net: nw, PID: pid, Config: autoCfg(), Tracer: rec})
+		st := NewStack(Params{Net: nw, PID: pid, Tracer: rec})
 		mux := netsim.NewMux()
 		mux.Handle(AddrPrefix, st.HandleMessage)
 		nw.AddNode(pid, mux.Handler())

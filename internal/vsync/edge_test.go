@@ -14,7 +14,7 @@ import (
 // and no coordinator may install a view claiming a member that never
 // joined it.
 func TestConcurrentAdmissionSingleCommit(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	// p0 and p2 form concurrent singleton views (they join while p1
 	// stays out, then the two views exist side by side before merging).
 	if err := w.stacks[0].Create(g1); err != nil {
@@ -51,7 +51,7 @@ func TestConcurrentAdmissionSingleCommit(t *testing.T) {
 // the view-tagged failure detector: liveness evidence from a process in
 // a different view must not mask divergence.
 func TestHeartbeatsFromForeignViewsDoNotFeedFD(t *testing.T) {
-	w := newWorld(t, 2, autoCfg())
+	w := newWorld(t, 2)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,7 @@ func TestHeartbeatsFromForeignViewsDoNotFeedFD(t *testing.T) {
 // NEW-VIEW; responders must resume via responderTimeout and re-form the
 // group without it.
 func TestInitiatorCrashDuringFlush(t *testing.T) {
-	cfg := DefaultConfig() // manual StopOk so we can freeze the flush
-	w := newWorld(t, 3, cfg)
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -107,7 +106,7 @@ func TestInitiatorCrashDuringFlush(t *testing.T) {
 
 // TestAllMembersLeave drains a group completely.
 func TestAllMembersLeave(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -129,7 +128,7 @@ func TestAllMembersLeave(t *testing.T) {
 
 // TestJoinLeaveJoinAgain re-joins a group after leaving it.
 func TestJoinLeaveJoinAgain(t *testing.T) {
-	w := newWorld(t, 2, autoCfg())
+	w := newWorld(t, 2)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestJoinLeaveJoinAgain(t *testing.T) {
 
 // TestSimultaneousCrashOfMajority kills 3 of 4 members at once.
 func TestSimultaneousCrashOfMajority(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -170,7 +169,7 @@ func TestSimultaneousCrashOfMajority(t *testing.T) {
 
 // TestDataLargerThanTypical exercises big payload accounting.
 func TestLargePayloadDelivery(t *testing.T) {
-	w := newWorld(t, 2, autoCfg())
+	w := newWorld(t, 2)
 	_ = w.stacks[0].Join(g1)
 	_ = w.stacks[1].Join(g1)
 	w.run(3 * time.Second)
@@ -197,7 +196,7 @@ func TestLargePayloadDelivery(t *testing.T) {
 // TestPartitionDuringJoin: the group splits while a joiner's admission
 // is in flight.
 func TestPartitionDuringJoin(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	_ = w.stacks[0].Join(g1)
 	_ = w.stacks[1].Join(g1)
 	w.run(3 * time.Second)

@@ -8,26 +8,20 @@ import (
 	"plwg/internal/netsim"
 )
 
-// fdCfg pins the failure-detector timers so the tests can reason about
-// the suspicion deadline exactly: silence is tolerated up to
-// FDTimeout + (FDSuspectMisses-1)*FDCheckInterval = 350 + 100 ms. The
-// heartbeat period is kept small so the phase of the last heartbeat
-// before a spike adds at most 25ms of extra observed silence.
-func fdCfg() Config {
-	c := autoCfg()
-	c.HeartbeatInterval = 25 * time.Millisecond
-	c.FDTimeout = 350 * time.Millisecond
-	c.FDCheckInterval = 50 * time.Millisecond
-	c.FDSuspectMisses = 3
-	return c
-}
+// spike is the cut the spike tests inject. A peer's silence as observed
+// starts at its last heartbeat before the cut, up to one
+// HeartbeatInterval earlier, and ends at its first one after, so 280ms
+// reads as well past FDTimeout yet clears the suspicion budget of
+// FDTimeout + (FDSuspectMisses-1)*FDCheckInterval: with FDSuspectMisses
+// at 1 the tests below fail.
+const spike = 280 * time.Millisecond
 
 // TestFDToleratesDelaySpike: a silence spike longer than FDTimeout but
 // shorter than the strike budget must NOT change the view. Under the old
 // single-comparison detector the first check past FDTimeout suspected
 // the peer and forced a spurious reconfiguration.
 func TestFDToleratesDelaySpike(t *testing.T) {
-	w := newWorld(t, 3, fdCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -36,11 +30,8 @@ func TestFDToleratesDelaySpike(t *testing.T) {
 	w.run(4 * time.Second)
 	before := w.requireSameView(g1, 0, 1, 2)
 
-	// 380ms of total silence: past FDTimeout (so the old detector
-	// suspects), but only 1–2 suspicion checks deep — under the
-	// 3-strike budget.
 	w.nw.SetPartitions([]netsim.NodeID{0}, []netsim.NodeID{1, 2})
-	w.run(380 * time.Millisecond)
+	w.run(spike)
 	w.nw.Heal()
 	w.run(3 * time.Second)
 
@@ -54,7 +45,7 @@ func TestFDToleratesDelaySpike(t *testing.T) {
 // TestFDStillDetectsSustainedSilence: the strike budget must delay
 // suspicion, not disable it — a genuinely dead member is still excluded.
 func TestFDStillDetectsSustainedSilence(t *testing.T) {
-	w := newWorld(t, 3, fdCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -76,7 +67,7 @@ func TestFDStillDetectsSustainedSilence(t *testing.T) {
 // cleared once the peer is heard again, so two separate sub-budget
 // spikes do not add up to a suspicion.
 func TestFDStrikesResetOnHeartbeat(t *testing.T) {
-	w := newWorld(t, 2, fdCfg())
+	w := newWorld(t, 2)
 	for i := 0; i < 2; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -85,9 +76,9 @@ func TestFDStrikesResetOnHeartbeat(t *testing.T) {
 	w.run(3 * time.Second)
 	before := w.requireSameView(g1, 0, 1)
 
-	for spike := 0; spike < 3; spike++ {
+	for i := 0; i < 3; i++ {
 		w.nw.SetPartitions([]netsim.NodeID{0}, []netsim.NodeID{1})
-		w.run(380 * time.Millisecond)
+		w.run(spike)
 		w.nw.Heal()
 		w.run(time.Second) // heartbeats resume, strikes reset
 	}

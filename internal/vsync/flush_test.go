@@ -12,7 +12,7 @@ import (
 )
 
 func TestCreateInstallsSingletonImmediately(t *testing.T) {
-	w := newWorld(t, 2, autoCfg())
+	w := newWorld(t, 2)
 	if err := w.stacks[0].Create(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCreateInstallsSingletonImmediately(t *testing.T) {
 }
 
 func TestForcedFlushInstallsSameMembership(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestDigestTracking(t *testing.T) {
 	// out-of-order extras, with absorption when gaps close.
 	s := sim.New(1)
 	nw := netsim.New(s, netsim.DefaultParams())
-	st := NewStack(Params{Net: nw, PID: 0, Config: autoCfg()})
+	st := NewStack(Params{Net: nw, PID: 0})
 	nw.AddNode(0, nil)
 	if err := st.Create(g1); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestGapRetransmissionOnDivergence(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			pid := ids.ProcessID(i)
 			up := &tUp{pid: pid, log: make(map[ids.HWGID][]logEntry), s: s}
-			st := NewStack(Params{Net: nw, PID: pid, Config: autoCfg(), Upcalls: up, Tracer: rec})
+			st := NewStack(Params{Net: nw, PID: pid, Upcalls: up, Tracer: rec})
 			up.st = st
 			mux := netsim.NewMux()
 			mux.Handle(AddrPrefix, st.HandleMessage)
@@ -166,7 +166,7 @@ func TestGapRetransmissionOnDivergence(t *testing.T) {
 }
 
 func TestPeriodicAcksSurvivePartitionMerge(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestPeriodicAcksSurvivePartitionMerge(t *testing.T) {
 }
 
 func TestLeaveDuringPartition(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestLeaveDuringPartition(t *testing.T) {
 }
 
 func TestThreeWayPartitionAndHeal(t *testing.T) {
-	w := newWorld(t, 6, autoCfg())
+	w := newWorld(t, 6)
 	for i := 0; i < 6; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestThreeWayPartitionAndHeal(t *testing.T) {
 
 func TestAsymmetricPartitionSizes(t *testing.T) {
 	// A 5|1 split: the singleton side keeps operating and merges back.
-	w := newWorld(t, 6, autoCfg())
+	w := newWorld(t, 6)
 	for i := 0; i < 6; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // lossyWorld builds a cluster on a network that drops a fraction of
 // deliveries, like real UDP.
-func lossyWorld(t *testing.T, n int, cfg Config, lossRate float64, seed int64) *world {
+func lossyWorld(t *testing.T, n int, lossRate float64, seed int64) *world {
 	t.Helper()
 	s := sim.New(seed)
 	params := netsim.DefaultParams()
@@ -26,7 +26,7 @@ func lossyWorld(t *testing.T, n int, cfg Config, lossRate float64, seed int64) *
 	for i := 0; i < n; i++ {
 		pid := ids.ProcessID(i)
 		up := &tUp{pid: pid, log: make(map[ids.HWGID][]logEntry), s: s}
-		st := NewStack(Params{Net: nw, PID: pid, Config: cfg, Upcalls: up})
+		st := NewStack(Params{Net: nw, PID: pid, Upcalls: up})
 		up.st = st
 		mux := netsim.NewMux()
 		mux.Handle(AddrPrefix, st.HandleMessage)
@@ -40,7 +40,7 @@ func lossyWorld(t *testing.T, n int, cfg Config, lossRate float64, seed int64) *
 // TestLossRepairDelivery: with 3% delivery loss, NACK-based repair (plus
 // the periodic ack vectors) must still deliver every message everywhere.
 func TestLossRepairDelivery(t *testing.T) {
-	w := lossyWorld(t, 3, autoCfg(), 0.03, 5)
+	w := lossyWorld(t, 3, 0.03, 5)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -74,36 +74,9 @@ func TestLossRepairDelivery(t *testing.T) {
 	checkViewSynchrony(t, w, g1)
 }
 
-// TestLossRepairTotalOrder: total order must survive datagram loss — a
-// lost token or message is repaired and the sequence stays uniform.
-func TestLossRepairTotalOrder(t *testing.T) {
-	w := lossyWorld(t, 3, totalCfg(), 0.03, 8)
-	for i := 0; i < 3; i++ {
-		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.run(6 * time.Second)
-	w.requireSameView(g1, 0, 1, 2)
-
-	const msgs = 60
-	for i := 0; i < msgs; i++ {
-		_ = w.stacks[ids.ProcessID(i%3)].Send(g1, tPayload{ID: fmt.Sprintf("o%d", i)})
-		w.run(8 * time.Millisecond)
-	}
-	w.run(5 * time.Second)
-
-	for pid := ids.ProcessID(0); pid < 3; pid++ {
-		if got := len(deliveredSeqOf(w.ups[pid], g1)); got != msgs {
-			t.Fatalf("%v delivered %d/%d", pid, got, msgs)
-		}
-	}
-	requireIdenticalSequences(t, w, g1, 0, 1, 2)
-}
-
 // TestLossyMembershipChurn: joins, a crash and a view change under loss.
 func TestLossyMembershipChurn(t *testing.T) {
-	w := lossyWorld(t, 4, autoCfg(), 0.02, 11)
+	w := lossyWorld(t, 4, 0.02, 11)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)

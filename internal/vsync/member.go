@@ -60,16 +60,6 @@ type member struct {
 	maxSeen  map[ids.ProcessID]uint64
 	prevGaps map[msgKey]bool
 
-	// Total-order state (OrderingTotal; reset per view).
-	// ordBuf holds received Ordered messages awaiting their token.
-	ordBuf map[msgKey]*msgData
-	// ordTokens maps order indices to message keys.
-	ordTokens map[uint64]msgKey
-	// ordNext is the next order index to deliver.
-	ordNext uint64
-	// ordCounter is the coordinator's token allocator.
-	ordCounter uint64
-
 	// Failure detection. Suspicion needs FDSuspectMisses consecutive
 	// checks past FDTimeout (fdStrikes counts them), so a single delay
 	// spike does not trigger a view change.
@@ -267,7 +257,6 @@ func (m *member) send(p Payload) {
 		Sender:  m.st.pid,
 		Seq:     m.nextSeq,
 		Payload: p,
-		Ordered: m.st.cfg.Ordering == OrderingTotal,
 		Acks:    m.ackSnapshot(),
 	})
 }
@@ -284,21 +273,6 @@ func (m *member) ackSnapshot() map[ids.ProcessID]uint64 {
 	}
 	m.piggybacked = true
 	return vec
-}
-
-// sendInternal multicasts a protocol-internal payload (order tokens) as
-// an unordered data message, sharing reliability and flush semantics
-// with application traffic.
-func (m *member) sendInternal(p Payload) {
-	m.nextSeq++
-	m.multicast(&msgData{
-		GID:     m.gid,
-		View:    m.view.ID,
-		Sender:  m.st.pid,
-		Seq:     m.nextSeq,
-		Payload: p,
-		Acks:    m.ackSnapshot(),
-	})
 }
 
 func (m *member) onData(from ids.ProcessID, d *msgData) {
@@ -349,24 +323,6 @@ func (m *member) deliverData(d *msgData) {
 	} else if d.Seq > m.deliveredSeq[d.Sender] {
 		m.extras[k] = true
 	}
-
-	// Total-order machinery: tokens sequence buffered Ordered messages;
-	// Ordered messages wait for their token.
-	if tok, isToken := d.Payload.(*ordToken); isToken {
-		m.ordTokens[tok.Idx] = tok.Key
-		m.drainOrdered()
-		return
-	}
-	if d.Ordered {
-		m.ordBuf[k] = d
-		if m.view.Coordinator() == m.st.pid {
-			// This member sequences the view's traffic.
-			m.ordCounter++
-			m.sendInternal(&ordToken{Key: k, Idx: m.ordCounter})
-		}
-		m.drainOrdered()
-		return
-	}
 	m.appDeliver(d)
 }
 
@@ -389,49 +345,6 @@ func (m *member) appDeliver(d *msgData) {
 		m.st.up.Data(m.gid, d.Sender, d.Payload)
 	}
 	m.st.inTCOK = false
-}
-
-// drainOrdered delivers buffered Ordered messages in token order.
-func (m *member) drainOrdered() {
-	for {
-		k, ok := m.ordTokens[m.ordNext+1]
-		if !ok {
-			return
-		}
-		d, have := m.ordBuf[k]
-		if !have {
-			return // token arrived before its message (possible on UDP)
-		}
-		delete(m.ordBuf, k)
-		delete(m.ordTokens, m.ordNext+1)
-		m.ordNext++
-		m.appDeliver(d)
-	}
-}
-
-// flushOrderedResidue delivers, at the end of a view, every Ordered
-// message still waiting for a token: first any fully tokenized prefix,
-// then the untokenized rest in deterministic key order. View synchrony
-// makes the residue identical at every surviving member, so the total
-// order extends across the view change consistently.
-func (m *member) flushOrderedResidue() {
-	if len(m.ordBuf) == 0 {
-		return
-	}
-	m.drainOrdered()
-	if len(m.ordBuf) == 0 {
-		return
-	}
-	keys := make([]msgKey, 0, len(m.ordBuf))
-	for k := range m.ordBuf {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	for _, k := range keys {
-		d := m.ordBuf[k]
-		delete(m.ordBuf, k)
-		m.appDeliver(d)
-	}
 }
 
 func (m *member) onAckVector(from ids.ProcessID, a *msgAckVector) {
@@ -634,12 +547,12 @@ func (m *member) checkFailures() {
 		if p == m.st.pid || m.suspects[p] {
 			continue
 		}
-		if now.Sub(m.lastHeard[p]) <= m.st.cfg.FDTimeout {
+		if now.Sub(m.lastHeard[p]) <= FDTimeout {
 			delete(m.fdStrikes, p)
 			continue
 		}
 		m.fdStrikes[p]++
-		if m.fdStrikes[p] < m.st.cfg.FDSuspectMisses {
+		if m.fdStrikes[p] < FDSuspectMisses {
 			continue
 		}
 		delete(m.fdStrikes, p)
@@ -720,8 +633,7 @@ func (m *member) startTimers() {
 	if m.hbTicker != nil {
 		return
 	}
-	cfg := m.st.cfg
-	phase := time.Duration((int64(m.gid)*131 + int64(m.st.pid)*17) % int64(cfg.HeartbeatInterval))
+	phase := time.Duration((int64(m.gid)*131 + int64(m.st.pid)*17) % int64(HeartbeatInterval))
 	m.st.clock.After(phase, func() {
 		if m.hbTicker != nil {
 			return
@@ -729,8 +641,8 @@ func (m *member) startTimers() {
 		if _, ok := m.st.groups[m.gid]; !ok {
 			return
 		}
-		m.hbTicker = m.st.clock.Every(cfg.HeartbeatInterval, m.sendHeartbeat)
-		m.fdTicker = m.st.clock.Every(cfg.FDCheckInterval, m.checkFailures)
+		m.hbTicker = m.st.clock.Every(HeartbeatInterval, m.sendHeartbeat)
+		m.fdTicker = m.st.clock.Every(FDCheckInterval, m.checkFailures)
 		m.presTicker = m.st.clock.Every(presenceInterval, m.sendPresence)
 		m.nackTicker = m.st.clock.Every(nackInterval, m.scanGaps)
 		m.ackTicker = m.st.clock.Every(ackInterval, m.sendAckVector)
@@ -765,13 +677,9 @@ func (m *member) stopTimers() {
 
 // --- view installation ---------------------------------------------------
 
-// install makes v the current view: the old view's ordered residue is
-// delivered, per-view state is reset, pending sends drain into the new
-// view, and the View upcall fires.
+// install makes v the current view: per-view state is reset, pending
+// sends drain into the new view, and the View upcall fires.
 func (m *member) install(v ids.View) {
-	// Close the old view's total order before anything of the new view
-	// becomes visible.
-	m.flushOrderedResidue()
 	if m.joinTicker != nil {
 		m.joinTicker.Stop()
 		m.joinTicker = nil
@@ -803,10 +711,6 @@ func (m *member) install(v ids.View) {
 	m.ackVectors = make(map[ids.ProcessID]map[ids.ProcessID]uint64)
 	m.deliveredSeq = make(map[ids.ProcessID]uint64)
 	m.extras = make(map[msgKey]bool)
-	m.ordBuf = make(map[msgKey]*msgData)
-	m.ordTokens = make(map[uint64]msgKey)
-	m.ordNext = 0
-	m.ordCounter = 0
 	m.maxSeen = make(map[ids.ProcessID]uint64)
 	m.prevGaps = make(map[msgKey]bool)
 	m.lastHeard = make(map[ids.ProcessID]sim.Time, len(v.Members))

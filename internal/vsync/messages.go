@@ -51,9 +51,6 @@ type msgData struct {
 	Sender  ids.ProcessID
 	Seq     uint64
 	Payload Payload
-	// Ordered marks messages subject to total-order delivery: they are
-	// held back until the view coordinator's order token arrives.
-	Ordered bool
 	// Acks piggybacks the sender's cumulative acknowledgement vector
 	// (highest contiguous sequence delivered per sender in View); nil
 	// when the sender has delivered nothing yet.
@@ -61,9 +58,7 @@ type msgData struct {
 
 	// tc is the wire trace context of the envelope this message arrived
 	// in, attached by the receiver in onData (never serialized — it is
-	// not part of the message, it is delivery metadata). Keeping it on
-	// the message lets it survive total-order holdback in ordBuf so the
-	// latency observation happens at the actual Data upcall.
+	// not part of the message, it is delivery metadata).
 	tc   wire.TraceCtx
 	tcOK bool
 }
@@ -81,18 +76,6 @@ func (m *msgData) WireSize() int {
 
 // Kind implements netsim.Kinder.
 func (m *msgData) Kind() string { return "data" }
-
-// ordToken is the internal payload carrying one total-order assignment:
-// the view coordinator sequences every Ordered message it receives and
-// multicasts the token as a regular (reliable, flushed) data message, so
-// tokens share the delivery guarantees of the messages they order.
-type ordToken struct {
-	Key msgKey
-	Idx uint64
-}
-
-// WireSize implements Payload.
-func (t *ordToken) WireSize() int { return 28 }
 
 // msgAckVector is a standalone cumulative acknowledgement: the highest
 // contiguous sequence number delivered per sender in the current view,

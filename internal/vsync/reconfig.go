@@ -295,7 +295,7 @@ func (m *member) enterStopped(e epoch) {
 		m.respTimer.Stop()
 	}
 	m.respTimer = m.st.clock.After(responderTimeout, m.onResponderTimeout)
-	if m.st.cfg.AutoStopOk || m.st.up == nil {
+	if m.st.up == nil {
 		m.sendFlushOk()
 		return
 	}

@@ -50,8 +50,8 @@ type Upcalls interface {
 	// Data delivers a virtually synchronous multicast.
 	Data(gid ids.HWGID, src ids.ProcessID, payload Payload)
 	// Stop asks the user to cease sending on the group; the user must
-	// answer with Stack.StopOk once quiesced. With Config.AutoStopOk the
-	// stack answers itself and this upcall is informational.
+	// answer with Stack.StopOk once quiesced (possibly from within the
+	// upcall itself).
 	Stop(gid ids.HWGID)
 }
 
@@ -64,9 +64,10 @@ var (
 
 // Params bundles the dependencies of a Stack.
 type Params struct {
-	Net     netsim.Transport
-	PID     ids.ProcessID
-	Config  Config
+	Net netsim.Transport
+	PID ids.ProcessID
+	// Upcalls receives the Table 1 upcalls; nil acknowledges every Stop
+	// at once.
 	Upcalls Upcalls
 	Tracer  trace.Tracer
 	// Metrics receives the stack's instrumentation; nil disables it at
@@ -109,7 +110,6 @@ type Stack struct {
 	net    netsim.Transport
 	clock  *sim.Sim
 	pid    ids.ProcessID
-	cfg    Config
 	up     Upcalls
 	tracer trace.Tracer
 	ins    stackMetrics
@@ -138,7 +138,6 @@ type Stack struct {
 // caller must route messages with the AddrPrefix mux prefix to
 // HandleMessage.
 func NewStack(p Params) *Stack {
-	cfg := p.Config.withDefaults()
 	tr := p.Tracer
 	if tr == nil {
 		tr = trace.Nop{}
@@ -148,7 +147,6 @@ func NewStack(p Params) *Stack {
 		net:     p.Net,
 		clock:   p.Net.Sim(),
 		pid:     p.PID,
-		cfg:     cfg,
 		up:      p.Upcalls,
 		tracer:  tr,
 		ins:     newStackMetrics(p.Metrics),
@@ -181,9 +179,6 @@ func (s *Stack) NumGroups() int { return len(s.groups) }
 
 // PID returns the process identifier of this endpoint.
 func (s *Stack) PID() ids.ProcessID { return s.pid }
-
-// Config returns the stack's effective configuration.
-func (s *Stack) Config() Config { return s.cfg }
 
 // Join starts joining the group (Table 1 downcall). The caller learns the
 // outcome through the View upcall: either an existing view admits the

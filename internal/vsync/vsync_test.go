@@ -72,27 +72,9 @@ type world struct {
 	ups    map[ids.ProcessID]*tUp
 }
 
-func newWorld(t *testing.T, n int, cfg Config) *world {
+func newWorld(t *testing.T, n int) *world {
 	t.Helper()
-	s := sim.New(1)
-	nw := netsim.New(s, netsim.DefaultParams())
-	w := &world{
-		t: t, s: s, nw: nw,
-		stacks: make(map[ids.ProcessID]*Stack),
-		ups:    make(map[ids.ProcessID]*tUp),
-	}
-	for i := 0; i < n; i++ {
-		pid := ids.ProcessID(i)
-		up := &tUp{pid: pid, log: make(map[ids.HWGID][]logEntry), s: s}
-		st := NewStack(Params{Net: nw, PID: pid, Config: cfg, Upcalls: up})
-		up.st = st
-		mux := netsim.NewMux()
-		mux.Handle(AddrPrefix, st.HandleMessage)
-		nw.AddNode(pid, mux.Handler())
-		w.stacks[pid] = st
-		w.ups[pid] = up
-	}
-	return w
+	return lossyWorld(t, n, 0, 1)
 }
 
 func (w *world) run(d time.Duration) { w.s.RunFor(d) }
@@ -149,18 +131,12 @@ func checkViewSynchrony(t *testing.T, w *world, gid ids.HWGID) {
 	}
 }
 
-func autoCfg() Config {
-	c := DefaultConfig()
-	c.AutoStopOk = true
-	return c
-}
-
 const g1 ids.HWGID = 1
 
 // --- tests ---------------------------------------------------------------
 
 func TestSingletonFormation(t *testing.T) {
-	w := newWorld(t, 1, autoCfg())
+	w := newWorld(t, 1)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +151,7 @@ func TestSingletonFormation(t *testing.T) {
 }
 
 func TestJoinExistingView(t *testing.T) {
-	w := newWorld(t, 2, autoCfg())
+	w := newWorld(t, 2)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +165,7 @@ func TestJoinExistingView(t *testing.T) {
 
 func TestManyConcurrentJoinsConverge(t *testing.T) {
 	const n = 6
-	w := newWorld(t, n, autoCfg())
+	w := newWorld(t, n)
 	var pids []ids.ProcessID
 	for i := 0; i < n; i++ {
 		pid := ids.ProcessID(i)
@@ -204,7 +180,7 @@ func TestManyConcurrentJoinsConverge(t *testing.T) {
 }
 
 func TestDoubleJoinRejected(t *testing.T) {
-	w := newWorld(t, 1, autoCfg())
+	w := newWorld(t, 1)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +190,7 @@ func TestDoubleJoinRejected(t *testing.T) {
 }
 
 func TestSendToUnjoinedGroup(t *testing.T) {
-	w := newWorld(t, 1, autoCfg())
+	w := newWorld(t, 1)
 	if err := w.stacks[0].Send(g1, tPayload{ID: "x"}); err != ErrNotMember {
 		t.Fatalf("Send = %v, want ErrNotMember", err)
 	}
@@ -224,7 +200,7 @@ func TestSendToUnjoinedGroup(t *testing.T) {
 }
 
 func TestDataDeliveryToAllMembers(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -251,7 +227,7 @@ func TestDataDeliveryToAllMembers(t *testing.T) {
 }
 
 func TestStabilityDiscardsBuffers(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -276,7 +252,7 @@ func TestStabilityDiscardsBuffers(t *testing.T) {
 // receivers send can carry their vector, so stability rests on the
 // standalone one per ackInterval.
 func TestPeriodicAckStability(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -314,7 +290,7 @@ func TestPeriodicAckStability(t *testing.T) {
 // sender of a two-member view needs the peer's vector and keeps it.
 func TestStableAtDeliveryWithoutVectors(t *testing.T) {
 	for _, n := range []int{1, 2} {
-		w := newWorld(t, n, autoCfg())
+		w := newWorld(t, n)
 		for i := 0; i < n; i++ {
 			if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 				t.Fatal(err)
@@ -346,7 +322,7 @@ func TestStableAtDeliveryWithoutVectors(t *testing.T) {
 }
 
 func TestLeave(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -364,7 +340,7 @@ func TestLeave(t *testing.T) {
 }
 
 func TestCoordinatorLeave(t *testing.T) {
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -386,7 +362,7 @@ func TestCoordinatorLeave(t *testing.T) {
 }
 
 func TestLastMemberLeaveDissolvesGroup(t *testing.T) {
-	w := newWorld(t, 1, autoCfg())
+	w := newWorld(t, 1)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +377,7 @@ func TestLastMemberLeaveDissolvesGroup(t *testing.T) {
 }
 
 func TestCrashRecovery(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -417,7 +393,7 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 func TestCoordinatorCrashRecovery(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -434,7 +410,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 }
 
 func TestPartitionSplitsViews(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -462,7 +438,7 @@ func TestPartitionSplitsViews(t *testing.T) {
 }
 
 func TestPartitionHealMergesViews(t *testing.T) {
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -489,7 +465,7 @@ func TestPartitionHealMergesViews(t *testing.T) {
 func TestViewTaggedDeliveryAcrossPartition(t *testing.T) {
 	// Messages sent inside partition A must not be delivered to members
 	// of partition B (they were sent in a view B is not in).
-	w := newWorld(t, 4, autoCfg())
+	w := newWorld(t, 4)
 	for i := 0; i < 4; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -514,8 +490,7 @@ func TestViewTaggedDeliveryAcrossPartition(t *testing.T) {
 }
 
 func TestStopUpcallAndManualStopOk(t *testing.T) {
-	cfg := DefaultConfig() // AutoStopOk = false
-	w := newWorld(t, 2, cfg)
+	w := newWorld(t, 2)
 	w.ups[0].manualStop = true
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
@@ -553,7 +528,7 @@ func TestStopUpcallAndManualStopOk(t *testing.T) {
 }
 
 func TestStopOkWithoutStopPending(t *testing.T) {
-	w := newWorld(t, 1, autoCfg())
+	w := newWorld(t, 1)
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
 	}
@@ -564,8 +539,7 @@ func TestStopOkWithoutStopPending(t *testing.T) {
 }
 
 func TestSendsBufferedDuringFlush(t *testing.T) {
-	cfg := DefaultConfig()
-	w := newWorld(t, 2, cfg)
+	w := newWorld(t, 2)
 	w.ups[0].manualStop = true
 	if err := w.stacks[0].Join(g1); err != nil {
 		t.Fatal(err)
@@ -598,7 +572,7 @@ func TestSendsBufferedDuringFlush(t *testing.T) {
 
 func TestMultipleGroupsIndependent(t *testing.T) {
 	const g2 ids.HWGID = 2
-	w := newWorld(t, 3, autoCfg())
+	w := newWorld(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
@@ -624,7 +598,7 @@ func TestMultipleGroupsIndependent(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	runOnce := func() string {
-		w := newWorld(t, 5, autoCfg())
+		w := newWorld(t, 5)
 		for i := 0; i < 5; i++ {
 			if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 				t.Fatal(err)
@@ -670,7 +644,7 @@ func TestTable1Interface(t *testing.T) {
 func TestHeavyTrafficUnderChurn(t *testing.T) {
 	// Stress: continuous traffic while members crash and partitions come
 	// and go; view synchrony must hold throughout.
-	w := newWorld(t, 6, autoCfg())
+	w := newWorld(t, 6)
 	for i := 0; i < 6; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)

@@ -50,7 +50,6 @@ import (
 	"plwg/internal/naming"
 	"plwg/internal/netsim"
 	"plwg/internal/trace"
-	"plwg/internal/vsync"
 )
 
 // Re-exported identifier and view types. A View is a group membership
@@ -84,8 +83,6 @@ type Config struct {
 	// Service overrides the LWG service timers and Figure 1 policy
 	// parameters.
 	Service core.Config
-	// Vsync overrides the heavy-weight group layer timers.
-	Vsync vsync.Config
 	// Naming overrides the naming-service mapping lease.
 	Naming naming.Config
 	// CollectTrace enables in-memory protocol tracing (see
@@ -195,7 +192,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Endpoint: core.Params{
 			Servers: serverPids,
 			Config:  cfg.Service,
-			Vsync:   cfg.Vsync,
 			Tracer:  tr,
 		},
 		Naming: cfg.Naming,
