@@ -14,12 +14,17 @@ import (
 // deliveries, like real UDP.
 func lossyWorld(t *testing.T, n int, lossRate float64, seed int64) *world {
 	t.Helper()
-	s := sim.New(seed)
 	params := netsim.DefaultParams()
 	params.LossRate = lossRate
+	return netWorld(t, n, params, seed)
+}
+
+// netWorld builds a cluster of n stacks on the given network.
+func netWorld(tb testing.TB, n int, params netsim.Params, seed int64) *world {
+	s := sim.New(seed)
 	nw := netsim.New(s, params)
 	w := &world{
-		t: t, s: s, nw: nw,
+		t: tb, s: s, nw: nw,
 		stacks: make(map[ids.ProcessID]*Stack),
 		ups:    make(map[ids.ProcessID]*tUp),
 	}

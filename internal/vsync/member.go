@@ -2,6 +2,7 @@ package vsync
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -42,13 +43,18 @@ type member struct {
 	piggybacked bool
 
 	// Per-view delivery and stability state (reset at each install).
-	delivered map[msgKey]bool
-	buffer    map[msgKey]*msgData
-	// ackVectors holds, per peer, the highest contiguous sequence the
-	// peer acknowledged per sender.
+	// buffer holds the delivered messages that are not yet stable.
+	buffer map[msgKey]*msgData
+	// ackVectors holds, per other view member, the highest contiguous
+	// sequence the peer acknowledged per sender.
 	ackVectors map[ids.ProcessID]map[ids.ProcessID]uint64
+	// stableSeq is, per sender, the sequence up to which buffer has been
+	// collected: no buffered message of that sender is numbered at or
+	// below it.
+	stableSeq map[ids.ProcessID]uint64
 	// deliveredSeq tracks the highest contiguous sequence delivered per
-	// sender; together with extras it forms the flush digest.
+	// sender; together with extras it forms the flush digest, and it is
+	// also the delivered set that deduplicates (see isDelivered).
 	deliveredSeq map[ids.ProcessID]uint64
 	// extras records deliveries beyond the contiguous prefix (possible
 	// only through flush retransmissions).
@@ -301,10 +307,9 @@ func (m *member) deliverData(d *msgData) {
 	if d.Seq > m.maxSeen[d.Sender] {
 		m.maxSeen[d.Sender] = d.Seq
 	}
-	if m.delivered[k] {
+	if m.isDelivered(k) {
 		return
 	}
-	m.delivered[k] = true
 	if !m.stable(k) {
 		m.buffer[k] = d // somebody else in the view may still be missing it
 	}
@@ -355,23 +360,44 @@ func (m *member) onAckVector(from ids.ProcessID, a *msgAckVector) {
 	m.applyAckVector(from, a.MaxSeq)
 }
 
+// isDelivered reports whether message k (of the current view) was
+// delivered: the flush digest is exactly the delivered set. Sequences
+// start at 1, so a frame numbered 0 counts as delivered and is dropped.
+func (m *member) isDelivered(k msgKey) bool {
+	return k.Seq <= m.deliveredSeq[k.Sender] || m.extras[k]
+}
+
 // applyAckVector merges a cumulative acknowledgement vector from a peer
 // (standalone or piggybacked; the caller has checked the view) and
-// collects any stability it unlocks.
+// collects any stability it unlocks. Only a raised entry for sender s
+// can move s's watermark, and the buffered copies it frees are exactly
+// the keys of s numbered above stableSeq[s] and at most the new
+// watermark, so collection costs O(1) per message over the view. The
+// range is capped at maxSeen, since no higher message was delivered.
 func (m *member) applyAckVector(from ids.ProcessID, maxSeq map[ids.ProcessID]uint64) {
+	if from == m.st.pid || !m.view.Contains(from) {
+		return // stable counts only the other members' vectors
+	}
 	vec := m.ackVectors[from]
 	if vec == nil {
 		vec = make(map[ids.ProcessID]uint64)
 		m.ackVectors[from] = vec
 	}
-	for sender, seq := range maxSeq {
-		if vec[sender] < seq {
-			vec[sender] = seq
+	for s, seq := range maxSeq {
+		if vec[s] >= seq {
+			continue
 		}
-	}
-	for k := range m.buffer {
-		if m.stable(k) {
-			delete(m.buffer, k)
+		vec[s] = seq
+		if s == from {
+			continue // the sender's own entry never gates its messages
+		}
+		w := min(m.watermark(s), m.maxSeen[s])
+		for q := m.stableSeq[s]; q < w; {
+			q++
+			delete(m.buffer, msgKey{View: m.view.ID, Sender: s, Seq: q})
+		}
+		if w > m.stableSeq[s] {
+			m.stableSeq[s] = w
 		}
 	}
 }
@@ -380,15 +406,20 @@ func (m *member) applyAckVector(from ids.ProcessID, maxSeq map[ids.ProcessID]uin
 // buffered copy can go: this process and the sender trivially do, every
 // other member must have acknowledged the sender up to k's sequence.
 func (m *member) stable(k msgKey) bool {
+	return k.Seq <= m.watermark(k.Sender)
+}
+
+// watermark is the highest sequence of sender s that every view member
+// other than this process and s has acknowledged (unbounded when there
+// is no such member).
+func (m *member) watermark(s ids.ProcessID) uint64 {
+	w := uint64(math.MaxUint64)
 	for _, p := range m.view.Members {
-		if p == m.st.pid || p == k.Sender {
-			continue
-		}
-		if m.ackVectors[p][k.Sender] < k.Seq {
-			return false
+		if p != m.st.pid && p != s {
+			w = min(w, m.ackVectors[p][s])
 		}
 	}
-	return true
+	return w
 }
 
 func (m *member) sendAckVector() {
@@ -445,7 +476,7 @@ func (m *member) scanGaps() {
 		top := m.maxSeen[s]
 		for seq := m.deliveredSeq[s] + 1; seq <= top && total < maxNackPerScan; seq++ {
 			k := msgKey{View: m.view.ID, Sender: s, Seq: seq}
-			if m.delivered[k] {
+			if m.isDelivered(k) {
 				continue
 			}
 			cur[k] = true
@@ -706,9 +737,9 @@ func (m *member) install(v ids.View) {
 	m.stopEpoch = epoch{}
 	m.nextSeq = 0
 	m.piggybacked = false
-	m.delivered = make(map[msgKey]bool)
 	m.buffer = make(map[msgKey]*msgData)
 	m.ackVectors = make(map[ids.ProcessID]map[ids.ProcessID]uint64)
+	m.stableSeq = make(map[ids.ProcessID]uint64)
 	m.deliveredSeq = make(map[ids.ProcessID]uint64)
 	m.extras = make(map[msgKey]bool)
 	m.maxSeen = make(map[ids.ProcessID]uint64)

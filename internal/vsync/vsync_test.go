@@ -65,7 +65,7 @@ func (u *tUp) Stop(gid ids.HWGID) {
 
 // world is a test cluster.
 type world struct {
-	t      *testing.T
+	t      testing.TB
 	s      *sim.Sim
 	nw     *netsim.Network
 	stacks map[ids.ProcessID]*Stack
