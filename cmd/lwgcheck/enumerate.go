@@ -115,7 +115,7 @@ func runEnumerate(out io.Writer, o enumOpts) error {
 			return explore.Run(c).Failed()
 		})
 	}
-	report(out, s, explore.Run(s))
+	report(out, s, explore.Run(s), false)
 	if err := exportTrace(out, o.traceOut, f.Result.World.Events); err != nil {
 		return err
 	}

@@ -9,11 +9,15 @@
 //	lwgcheck -seeds 50 -nodes 12 -ops 100 -duration 45s
 //	lwgcheck -replay failing.schedule   # re-run a printed reproducer
 //
-// With -rtnet the same schedules run against a live loopback cluster of
-// rtnet nodes over real UDP, with the transport fault layer injecting
-// loss, duplication, reordering, delay jitter and asymmetric partitions:
+// -faults injects loss, duplication, reordering, delay jitter and one-way
+// link blocks (grammar: faults.Parse) on either clock; each schedule
+// carries its spec on a faults line, and a replay honours it. The
+// simulator runs clean by default. With -rtnet the same schedules run
+// against a live loopback cluster of rtnet nodes over real UDP, under
+// light default faults and asymmetric partitions:
 //
-//	lwgcheck -rtnet -seeds 100          # real-network sweep, default faults
+//	lwgcheck -seeds 100 -faults loss=0.02   # lossy virtual-time sweep
+//	lwgcheck -rtnet -seeds 100              # real-network sweep, default faults
 //	lwgcheck -rtnet -faults 'loss=0.1,delay=1ms..5ms' -par 8
 //	lwgcheck -rtnet -replay failing.schedule
 //
@@ -45,6 +49,7 @@ import (
 
 	"plwg/internal/check"
 	"plwg/internal/explore"
+	"plwg/internal/faults"
 	"plwg/internal/trace"
 )
 
@@ -73,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	noShrink := fs.Bool("noshrink", false, "report failures without shrinking")
 	verbose := fs.Bool("v", false, "print one line per seed")
 	rtMode := fs.Bool("rtnet", false, "run schedules over real UDP (loopback cluster) instead of the simulator")
-	faults := fs.String("faults", defaultRTFaults, "fault spec for -rtnet (see rtnet.ParseFaultSpec)")
+	faultSpec := fs.String("faults", "", "fault spec installed on every link, on either clock (grammar: faults.Parse; default clean, or '"+defaultRTFaults+"' with -rtnet)")
 	rtScale := fs.Float64("rtscale", 0.1, "virtual-to-real time scale for -rtnet op delays")
 	par := fs.Int("par", max(1, runtime.NumCPU()/2), "concurrent schedules for -rtnet; expansion workers for -enumerate (default GOMAXPROCS there)")
 	traceOut := fs.String("trace", "", "export one run's trace events to this file (.json = Chrome trace, otherwise JSONL) and explain the stitched protocol operations; a sweep exports its first failing run, or the last seed when all pass")
@@ -113,10 +118,14 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	// Real-network runs are wall-clock bound, so the sweep defaults shrink
-	// to keep a 100-seed pass in the minutes range. Explicit flags win.
+	// to keep a 100-seed pass in the minutes range, and real links get the
+	// default fault mix. Explicit flags win.
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *rtMode {
-		set := make(map[string]bool)
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["faults"] {
+			*faultSpec = defaultRTFaults
+		}
 		if !set["nodes"] {
 			*nodes = 5
 		}
@@ -130,7 +139,10 @@ func run(args []string, out io.Writer) error {
 			*crashes = 1
 		}
 	}
-	rtOpts := explore.RTOptions{Faults: *faults, Scale: *rtScale}
+	rtOpts := explore.RTOptions{Scale: *rtScale}
+	if _, err := faults.Parse(*faultSpec); err != nil {
+		return err
+	}
 	if *nodes < 2 || *nodes > explore.MaxNodes {
 		// Above MaxNodes a printed reproducer would not parse back.
 		return fmt.Errorf("-nodes must be between 2 and %d (got %d)", explore.MaxNodes, *nodes)
@@ -152,7 +164,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		var r explore.Result
-		if *rtMode || s.RTFaults != "" {
+		if *rtMode {
 			r, err = explore.RunRT(s, rtOpts)
 			if err != nil {
 				return err
@@ -160,7 +172,7 @@ func run(args []string, out io.Writer) error {
 		} else {
 			r = explore.Run(s)
 		}
-		report(out, s, r)
+		report(out, s, r, *rtMode)
 		if err := exportTrace(out, *traceOut, r.World.Events); err != nil {
 			return err
 		}
@@ -177,6 +189,7 @@ func run(args []string, out io.Writer) error {
 		LWGs:    *lwgs,
 		Crashes: *crashes,
 		Quiesce: *duration,
+		Faults:  *faultSpec,
 	}
 	swept := 0
 	// With -trace, keep the events worth explaining: the first failure
@@ -245,7 +258,7 @@ func run(args []string, out io.Writer) error {
 			return runOnce(c).Failed()
 		})
 	}
-	report(out, s, runOnce(s))
+	report(out, s, runOnce(s), *rtMode)
 	if len(failing) > 1 {
 		fmt.Fprintf(out, "other failing seeds:")
 		for _, f := range failing[1:] {
@@ -299,7 +312,7 @@ func exportTrace(out io.Writer, path string, events []trace.Event) error {
 	return nil
 }
 
-func report(out io.Writer, s explore.Schedule, r explore.Result) {
+func report(out io.Writer, s explore.Schedule, r explore.Result, rtnet bool) {
 	if !r.Completed {
 		fmt.Fprintf(out, "run did not complete within the step budget (livelock?)\n")
 	}
@@ -307,6 +320,6 @@ func report(out io.Writer, s explore.Schedule, r explore.Result) {
 		fmt.Fprintf(out, "violations:\n%s", check.Summary(r.Violations))
 	}
 	if r.Failed() {
-		fmt.Fprintf(out, "reproducer:\n%s", explore.Reproducer(s))
+		fmt.Fprintf(out, "reproducer:\n%s", explore.Reproducer(s, rtnet))
 	}
 }

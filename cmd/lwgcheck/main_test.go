@@ -44,6 +44,30 @@ func TestReplayFaultedSchedule(t *testing.T) {
 	}
 }
 
+// TestReplayFaultLineStaysVirtual: a schedule's faults line no longer
+// picks the clock — without -rtnet the replay runs on the simulator, and
+// the reproducer says so while carrying the spec into its seed hint. The
+// clean link rule leaves the run identical to the unfaulted one.
+func TestReplayFaultLineStaysVirtual(t *testing.T) {
+	s := explore.Random(2, explore.GenConfig{Nodes: 5, Ops: 12, LWGs: 2})
+	s.Fault = explore.Fault{Node: firstDeliverer(t, s), Drop: 1}
+	s.Faults = "4:clean"
+	path := filepath.Join(t.TempDir(), "faulted.schedule")
+	if err := os.WriteFile(path, []byte(explore.Encode(s)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-replay", path}, &out); err == nil {
+		t.Fatalf("replay of failing schedule succeeded:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "-rtnet") {
+		t.Errorf("a faults line made the replay real-network:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "-faults '4:clean'") {
+		t.Errorf("seed hint lost the fault spec:\n%s", out.String())
+	}
+}
+
 func TestReplayRejectsBadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.schedule")
 	if err := os.WriteFile(path, []byte("not a schedule\n"), 0o644); err != nil {

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
 	"plwg/internal/rtnet"
@@ -57,7 +58,7 @@ func run(args []string) error {
 	joinFlag := fs.String("join", "", "groups to join, comma separated")
 	chat := fs.Bool("chat", false, "multicast a line per second on each joined group")
 	runFor := fs.Duration("for", 0, "exit after this long (0 = until SIGINT)")
-	faults := fs.String("faults", "", "outbound fault spec, e.g. 'loss=0.1,delay=1ms..5ms;3:block' (see rtnet.ParseFaultSpec)")
+	faultsFlag := fs.String("faults", "", "outbound fault spec, e.g. 'loss=0.1,delay=1ms..5ms;3:block' (grammar: faults.Parse)")
 	debug := fs.String("debug", "", "serve /metrics, /debug/trace, /debug/lwg and /debug/pprof on this HTTP address (e.g. 127.0.0.1:7180)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -65,7 +66,7 @@ func run(args []string) error {
 	if *demo || *peersFlag == "" {
 		return runDemo()
 	}
-	return runSingle(*pid, *listen, *peersFlag, *serversFlag, *joinFlag, *chat, *runFor, *faults, *debug)
+	return runSingle(*pid, *listen, *peersFlag, *serversFlag, *joinFlag, *chat, *runFor, *faultsFlag, *debug)
 }
 
 // printer logs upcalls (invoked on the protocol goroutine).
@@ -79,7 +80,7 @@ func (p printer) Data(lwg ids.LWGID, src ids.ProcessID, data []byte) {
 	fmt.Printf("[p%d] %s: %v says %q\n", p.pid, lwg, src, data)
 }
 
-func runSingle(pid int, listen, peersFlag, serversFlag, joinFlag string, chat bool, runFor time.Duration, faults, debug string) error {
+func runSingle(pid int, listen, peersFlag, serversFlag, joinFlag string, chat bool, runFor time.Duration, faultsFlag, debug string) error {
 	peers, err := parsePeers(peersFlag)
 	if err != nil {
 		return err
@@ -88,7 +89,7 @@ func runSingle(pid int, listen, peersFlag, serversFlag, joinFlag string, chat bo
 	if err != nil {
 		return err
 	}
-	faultSpec, err := rtnet.ParseFaultSpec(faults)
+	faultSpec, err := faults.Parse(faultsFlag)
 	if err != nil {
 		return err
 	}
@@ -111,12 +112,12 @@ func runSingle(pid int, listen, peersFlag, serversFlag, joinFlag string, chat bo
 		return err
 	}
 	defer node.Close()
-	node.SetFaultSpec(faultSpec)
+	node.SetFaults(faultSpec)
 	if err := node.Start(); err != nil {
 		return err
 	}
 	fmt.Printf("node p%d listening on %v\n", pid, node.Addr())
-	if faults != "" {
+	if faultsFlag != "" {
 		fmt.Printf("node p%d injecting faults: %s\n", pid, faultSpec)
 	}
 	if debug != "" {
@@ -211,10 +212,14 @@ func runDemo() error {
 	time.Sleep(time.Second)
 
 	fmt.Println("\n--- partition {p0,p1} | {p2,p3} ---")
-	nodes[0].Block(2, 3)
-	nodes[1].Block(2, 3)
-	nodes[2].Block(0, 1)
-	nodes[3].Block(0, 1)
+	block := &faults.Rule{Block: true}
+	for i, node := range nodes {
+		for j := range nodes {
+			if (i < 2) != (j < 2) {
+				node.SetLinkFault(ids.ProcessID(j), block)
+			}
+		}
+	}
 	time.Sleep(3 * time.Second)
 
 	fmt.Println("\n--- both sides keep working ---")
@@ -224,7 +229,7 @@ func runDemo() error {
 
 	fmt.Println("\n--- heal: reconciliation merges the views ---")
 	for _, node := range nodes {
-		node.Unblock()
+		node.SetFaults(nil)
 	}
 	time.Sleep(5 * time.Second)
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
 	"plwg/internal/rtnet"
@@ -113,9 +114,11 @@ func TestE2EPartitionHealObservedThroughCollector(t *testing.T) {
 	nodes[0].Do(func(ep *core.Endpoint) { _ = ep.Send("chat", []byte("before-split")) })
 
 	// Phase 2: split {p0,p1} | {p2}.
-	nodes[0].Block(2)
-	nodes[1].Block(2)
-	nodes[2].Block(0, 1)
+	block := &faults.Rule{Block: true}
+	nodes[0].SetLinkFault(2, block)
+	nodes[1].SetLinkFault(2, block)
+	nodes[2].SetLinkFault(0, block)
+	nodes[2].SetLinkFault(1, block)
 	h := scrapeUntil(t, c, 45*time.Second, func(h Health) bool {
 		return partitionCount(h) == 2
 	}, "collector did not observe the split")
@@ -127,7 +130,7 @@ func TestE2EPartitionHealObservedThroughCollector(t *testing.T) {
 
 	// Phase 3: heal back to one partition of three.
 	for _, n := range nodes {
-		n.Unblock()
+		n.SetFaults(nil)
 	}
 	scrapeUntil(t, c, 60*time.Second, func(h Health) bool {
 		return partitionCount(h) == 1 && len(h.Partitions[0].Members) == 3 &&

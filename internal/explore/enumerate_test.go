@@ -224,7 +224,7 @@ func TestEnumeratedScheduleShrinks(t *testing.T) {
 	// The reproducer of an enumerated schedule must not suggest a seed
 	// sweep (a seed cannot regenerate it), and must survive a replay
 	// round-trip.
-	rep := Reproducer(min)
+	rep := Reproducer(min, false)
 	if strings.Contains(rep, "-seeds 1") {
 		t.Fatalf("enumerated reproducer suggests a seed sweep:\n%s", rep)
 	}

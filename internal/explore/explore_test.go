@@ -84,7 +84,7 @@ func TestCleanSeedsPassAndReplayDeterministically(t *testing.T) {
 		if r.Failed() {
 			s := Random(seed, smallCfg())
 			t.Errorf("seed %d failed:\n%s\nreproduce:\n%s",
-				seed, check.Summary(r.Violations), Reproducer(s))
+				seed, check.Summary(r.Violations), Reproducer(s, false))
 		}
 	})
 	if len(failing) != 0 {
@@ -197,7 +197,7 @@ func TestInjectedFaultIsDetectedAndShrinks(t *testing.T) {
 		t.Fatalf("reproducer not deterministic:\n%s\nvs\n%s", v1, v2)
 	}
 	t.Logf("shrunk %d ops -> %d ops in %d runs; reproducer:\n%s",
-		len(faulted.Ops), len(shrunk.Ops), runs, Reproducer(shrunk))
+		len(faulted.Ops), len(shrunk.Ops), runs, Reproducer(shrunk, false))
 }
 
 func TestInjectFault(t *testing.T) {

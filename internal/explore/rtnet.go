@@ -8,6 +8,7 @@ import (
 
 	"plwg/internal/check"
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/naming"
 	"plwg/internal/rtnet"
@@ -16,18 +17,15 @@ import (
 
 // Real-network schedule runner: the same chaos schedules the simulated
 // runner (Run) executes, but driven against live rtnet Nodes talking real
-// UDP on the loopback, with the transport's fault-injection layer playing
-// the role of the simulated network's loss/partition model. Runs are NOT
-// deterministic — the kernel scheduler and the real clock interleave
-// frames — but the fault decisions themselves are seeded per node, and a
-// schedule that fails here is still replayable: the reproducer embeds the
-// fault spec (Schedule.RTFaults) and `lwgcheck -rtnet -replay` re-runs it.
+// UDP on the loopback, with the transport taking the schedule's fault spec
+// and partitions as link Block rules. Runs are NOT deterministic — the
+// kernel scheduler and the real clock interleave frames — but the fault
+// decisions themselves are seeded per node, and a schedule that fails here
+// is still replayable: the reproducer embeds the fault spec
+// (Schedule.Faults) and `lwgcheck -rtnet -replay` re-runs it.
 
 // RTOptions configures real-network schedule execution.
 type RTOptions struct {
-	// Faults is the default fault spec (ParseFaultSpec grammar) installed
-	// on every node, used when the schedule itself carries none.
-	Faults string
 	// Scale converts the schedule's virtual-time delays to real sleeps
 	// (default 0.1: a 500ms virtual gap becomes a 50ms real one).
 	Scale float64
@@ -90,9 +88,9 @@ func snapshotProc(n *rtnet.Node) *staticProc {
 	return sp
 }
 
-// blockRule is the shared one-way partition rule; FaultRules are read-only
-// once installed, so aliasing one value across links is safe.
-var blockRule = &rtnet.FaultRule{Block: true}
+// blockRule is the shared one-way partition rule; rules are read-only once
+// installed, so aliasing one value across links is safe.
+var blockRule = &faults.Rule{Block: true}
 
 // RunRT executes the schedule against a live loopback cluster and checks
 // the same safety properties as Run. Partitions become asymmetric Block
@@ -102,11 +100,7 @@ var blockRule = &rtnet.FaultRule{Block: true}
 // SetPartitions can never produce.
 func RunRT(s Schedule, o RTOptions) (Result, error) {
 	o = o.withDefaults()
-	spec := s.RTFaults
-	if spec == "" {
-		spec = o.Faults
-	}
-	baseFS, err := rtnet.ParseFaultSpec(spec)
+	baseFS, err := faults.Parse(s.Faults)
 	if err != nil {
 		return Result{}, err
 	}
@@ -157,7 +151,7 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 	}
 	installBase := func() {
 		for _, p := range live() {
-			nodes[p].SetFaultSpec(baseFS)
+			nodes[p].SetFaults(baseFS)
 		}
 	}
 	for i := 0; i < s.Nodes; i++ {
@@ -166,7 +160,7 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 			closeAll()
 			return Result{}, err
 		}
-		nodes[pid].SetFaultSpec(baseFS)
+		nodes[pid].SetFaults(baseFS)
 		if err := nodes[pid].Start(); err != nil {
 			closeAll()
 			return Result{}, fmt.Errorf("rtnet node %d start: %w", i, err)
@@ -259,7 +253,7 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 	installBase()
 	time.Sleep(stress)
 	for _, p := range live() {
-		nodes[p].ClearFaults()
+		nodes[p].SetFaults(nil)
 	}
 	time.Sleep(quiesce - stress)
 
@@ -309,12 +303,12 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 
 // SweepRT runs real-network schedules for seeds start..start+count-1, up
 // to par at a time, and returns the failing ones (ordered by seed).
-// report, when non-nil, is called once per seed under a lock. The sweep's
-// fault spec is stamped into each schedule (RTFaults) so printed
+// report, when non-nil, is called once per seed under a lock. Random
+// stamps the sweep's fault spec (g.Faults) into each schedule, so printed
 // reproducers are self-contained.
 func SweepRT(start int64, count int, g GenConfig, o RTOptions, par int, report func(seed int64, r Result)) ([]Schedule, error) {
 	o = o.withDefaults()
-	if _, err := rtnet.ParseFaultSpec(o.Faults); err != nil {
+	if _, err := faults.Parse(g.Faults); err != nil {
 		return nil, err
 	}
 	if par < 1 {
@@ -333,7 +327,6 @@ func SweepRT(start int64, count int, g GenConfig, o RTOptions, par int, report f
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			s := Random(seed, g)
-			s.RTFaults = o.Faults
 			r, err := RunRT(s, o)
 			if err != nil {
 				// The spec was validated above; a run error here is an

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,33 +11,77 @@ import (
 	"plwg/internal/ids"
 )
 
-func TestRTFaultsRoundTrip(t *testing.T) {
+func TestFaultsRoundTrip(t *testing.T) {
 	s := Random(3, smallCfg())
-	s.RTFaults = "loss=0.05,dup=0.05,reorder=0.1,delay=200us..2ms;3:block"
+	s.Faults = "loss=0.05,dup=0.05,reorder=0.1,delay=200us..2ms;3:block"
 	enc := Encode(s)
-	if !strings.Contains(enc, "rtfaults loss=0.05") {
-		t.Fatalf("rtfaults line missing:\n%s", enc)
+	if !strings.Contains(enc, "\nfaults loss=0.05") {
+		t.Fatalf("faults line missing:\n%s", enc)
 	}
 	got, err := Parse(enc)
 	if err != nil {
 		t.Fatalf("Parse(Encode(s)): %v\n%s", err, enc)
 	}
-	if got.RTFaults != s.RTFaults {
-		t.Fatalf("rtfaults round trip: %q vs %q", got.RTFaults, s.RTFaults)
+	if got.Faults != s.Faults {
+		t.Fatalf("faults round trip: %q vs %q", got.Faults, s.Faults)
 	}
 	if Encode(got) != enc {
 		t.Fatalf("round trip changed the schedule:\n%s\nvs\n%s", enc, Encode(got))
+	}
+
+	// A spec faults.Parse rejects is rejected by the schedule parser,
+	// whichever clock would run it; the old directive is gone.
+	for _, bad := range []string{"faults loss=2.5", "faults wibble", "rtfaults loss=0.05"} {
+		if _, err := Parse("schedule v1\nnodes 3\n" + bad + "\n"); err == nil {
+			t.Errorf("Parse accepted %q", bad)
+		}
 	}
 }
 
 func TestRunRTRejectsBadFaultSpec(t *testing.T) {
 	s := Random(1, smallCfg())
-	s.RTFaults = "loss=2.5"
+	s.Faults = "loss=2.5"
 	if _, err := RunRT(s, RTOptions{}); err == nil {
 		t.Fatal("RunRT accepted an out-of-range loss probability")
 	}
-	if _, err := SweepRT(1, 1, smallCfg(), RTOptions{Faults: "wibble"}, 1, nil); err == nil {
+	bad := smallCfg()
+	bad.Faults = "wibble"
+	if _, err := SweepRT(1, 1, bad, RTOptions{}, 1, nil); err == nil {
 		t.Fatal("SweepRT accepted an unknown fault item")
+	}
+}
+
+// TestReproducerHintPerClock pins the replay recipe on both clocks: the
+// clock comes from the caller, not from the fault line, and the seed
+// hint carries the fault spec so it regenerates the same schedule.
+func TestReproducerHintPerClock(t *testing.T) {
+	g := smallCfg()
+	g.Faults = "loss=0.15;2:block"
+	s := Random(7, g)
+	hint := fmt.Sprintf("-seeds 1 -start 7 -nodes 5 -ops %d -faults 'loss=0.15;2:block'\n", len(s.Ops))
+	for _, tc := range []struct {
+		rtnet bool
+		mode  string
+	}{{false, ""}, {true, "-rtnet "}} {
+		rep := Reproducer(s, tc.rtnet)
+		for _, want := range []string{
+			"\nfaults loss=0.15;2:block\n",
+			"# replay: go run ./cmd/lwgcheck " + tc.mode + "-replay <this file>\n",
+			"# or:     go run ./cmd/lwgcheck " + tc.mode + hint,
+		} {
+			if !strings.Contains(rep, want) {
+				t.Errorf("rtnet=%v: reproducer lacks %q:\n%s", tc.rtnet, want, rep)
+			}
+		}
+	}
+	// A clean virtual schedule names no faults; a clean real-network one
+	// must, or -rtnet would re-run it under lwgcheck's default faults.
+	clean := Random(7, smallCfg())
+	if rep := Reproducer(clean, false); strings.Contains(rep, "-faults") {
+		t.Errorf("clean virtual reproducer names faults:\n%s", rep)
+	}
+	if rep := Reproducer(clean, true); !strings.Contains(rep, "-faults ''\n") {
+		t.Errorf("clean real-network reproducer omits -faults '':\n%s", rep)
 	}
 }
 
@@ -62,8 +107,8 @@ func TestRunRTSmoke(t *testing.T) {
 			{Delay: 200 * time.Millisecond, Kind: OpHeal},
 			{Delay: 200 * time.Millisecond, Kind: OpSend, P: 1, LWG: "a"},
 		},
-		Quiesce:  30 * time.Second,
-		RTFaults: "loss=0.05,dup=0.05,reorder=0.1,delay=200us..2ms",
+		Quiesce: 30 * time.Second,
+		Faults:  "loss=0.05,dup=0.05,reorder=0.1,delay=200us..2ms",
 	}
 	// Real op delays: the schedule's own (already real-time sized here).
 	// The quiesce override trims the default 30s tail: 2s stress + 10s

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 )
 
@@ -90,11 +91,10 @@ type Schedule struct {
 	Quiesce time.Duration
 	// Fault optionally injects a delivery suppression (see Fault).
 	Fault Fault
-	// RTFaults is the fault spec (rtnet.ParseFaultSpec grammar) installed
-	// on every node when the schedule runs over the real UDP transport
-	// (RunRT). The simulated runner ignores it. Keeping it in the schedule
-	// makes real-network reproducers self-contained.
-	RTFaults string
+	// Faults is the fault spec (faults.Parse grammar) both runners install:
+	// Run through quiescence, RunRT until its clean tail. Empty is clean.
+	// Parse rejects an invalid spec; Run panics on one set in code.
+	Faults string
 	// Origin records how the schedule was produced: empty for seeded
 	// random generation (Random), or a free-form provenance line such as
 	// "enumerate n3g2 depth 12". Reproducer uses it to print an honest
@@ -124,6 +124,7 @@ type GenConfig struct {
 	LWGs    int           // number of light-weight groups (default 3, max 26)
 	Crashes int           // crash budget (default 2)
 	Quiesce time.Duration // convergence window (default 30s)
+	Faults  string        // fault spec stamped into every schedule (default clean)
 }
 
 func (g GenConfig) withDefaults() GenConfig {
@@ -155,7 +156,7 @@ func (g GenConfig) withDefaults() GenConfig {
 func Random(seed int64, g GenConfig) Schedule {
 	g = g.withDefaults()
 	r := newRand(seed)
-	s := Schedule{Seed: seed, Nodes: g.Nodes, Quiesce: g.Quiesce}
+	s := Schedule{Seed: seed, Nodes: g.Nodes, Quiesce: g.Quiesce, Faults: g.Faults}
 	for i := 0; i < g.LWGs; i++ {
 		s.LWGs = append(s.LWGs, ids.LWGID(string(rune('a'+i))))
 	}
@@ -216,8 +217,8 @@ func Encode(s Schedule) string {
 	if s.Origin != "" {
 		fmt.Fprintf(&b, "origin %s\n", s.Origin)
 	}
-	if s.RTFaults != "" {
-		fmt.Fprintf(&b, "rtfaults %s\n", s.RTFaults)
+	if s.Faults != "" {
+		fmt.Fprintf(&b, "faults %s\n", s.Faults)
 	}
 	if s.Fault.Drop > 0 {
 		fmt.Fprintf(&b, "fault %d %d\n", s.Fault.Node, s.Fault.Drop)
@@ -292,11 +293,14 @@ func Parse(text string) (Schedule, error) {
 				return fail("origin wants a provenance description")
 			}
 			s.Origin = strings.Join(fields[1:], " ")
-		case "rtfaults":
+		case "faults":
 			if len(fields) != 2 {
-				return fail("rtfaults wants one fault spec (no spaces)")
+				return fail("faults wants one fault spec (no spaces)")
 			}
-			s.RTFaults = fields[1]
+			if _, err := faults.Parse(fields[1]); err != nil {
+				return fail(err.Error())
+			}
+			s.Faults = fields[1]
 		case "fault":
 			if len(fields) != 3 {
 				return fail("fault wants <node> <drop>")

@@ -133,13 +133,14 @@ func refsNode(s Schedule, p ids.ProcessID) bool {
 }
 
 // Reproducer renders a failing schedule as a replay recipe: the encoded
-// schedule plus the commands that re-run it. The seed-sweep hint only
-// applies to seeded random schedules; an enumerated (or shrunk
-// enumerated) schedule cannot be regenerated from a seed, so its origin
-// line is printed instead.
-func Reproducer(s Schedule) string {
+// schedule plus the commands that re-run it on the clock it failed on
+// (rtnet: real UDP, otherwise the simulator). The seed-sweep hint, with
+// the fault spec it needs, only applies to seeded random schedules; an
+// enumerated (or shrunk enumerated) schedule cannot be regenerated from a
+// seed, so its origin line is printed instead.
+func Reproducer(s Schedule, rtnet bool) string {
 	mode := ""
-	if s.RTFaults != "" {
+	if rtnet {
 		mode = "-rtnet "
 	}
 	out := fmt.Sprintf("%s\n# replay: go run ./cmd/lwgcheck %s-replay <this file>\n",
@@ -147,6 +148,11 @@ func Reproducer(s Schedule) string {
 	if s.Origin != "" {
 		return out + fmt.Sprintf("# found by: go run ./cmd/lwgcheck -%s\n", s.Origin)
 	}
-	return out + fmt.Sprintf("# or:     go run ./cmd/lwgcheck %s-seeds 1 -start %d -nodes %d -ops %d\n",
+	hint := fmt.Sprintf("# or:     go run ./cmd/lwgcheck %s-seeds 1 -start %d -nodes %d -ops %d",
 		mode, s.Seed, s.Nodes, len(s.Ops))
+	if s.Faults != "" || rtnet {
+		// -rtnet alone means lwgcheck's default faults, not a clean run.
+		hint += fmt.Sprintf(" -faults '%s'", s.Faults)
+	}
+	return out + hint + "\n"
 }

@@ -8,6 +8,7 @@ import (
 	"plwg/internal/check"
 	"plwg/internal/cluster"
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/naming"
 	"plwg/internal/netsim"
@@ -48,7 +49,8 @@ type world struct {
 }
 
 // newWorld builds the stack for the schedule's scope (nodes, groups,
-// server placement) without applying any operations.
+// server placement) and installs its fault spec, without applying any
+// operations. The spec stays in force through quiescence.
 func newWorld(s Schedule) *world {
 	w := &world{
 		sched:     s,
@@ -69,6 +71,13 @@ func newWorld(s Schedule) *world {
 		Endpoint: core.Params{Servers: s.Servers(), Config: cfg, Tracer: w.tracer},
 		Naming:   naming.Config{MappingTTL: 8 * time.Second},
 	})
+	if s.Faults != "" {
+		fs, err := faults.Parse(s.Faults)
+		if err != nil {
+			panic(fmt.Sprintf("explore: schedule fault spec %q: %v", s.Faults, err))
+		}
+		w.Net.SetFaults(fs)
+	}
 	for _, l := range s.LWGs {
 		w.memberOf[l] = make(map[ids.ProcessID]bool)
 	}

@@ -13,15 +13,19 @@
 //   - partitions: the node set can be split into components; frames do not
 //     cross component boundaries, and components can later be healed.
 //
+// SetFaults adds the real transport's fault model (internal/faults):
+// per-receiver loss, duplication, delay, reordering and one-way blocks.
+//
 // The simulation is deterministic: delivery order is fixed by the bus
-// serialization and the event engine's FIFO tie-breaking, and any jitter is
-// drawn from the engine's seeded random source.
+// serialization and the event engine's FIFO tie-breaking, and every fault
+// decision is drawn from the engine's seeded random source.
 package netsim
 
 import (
 	"fmt"
 	"time"
 
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/sim"
 )
@@ -88,17 +92,6 @@ type Params struct {
 	CPUPerMsg time.Duration
 	// CPUPerKB is the additional receive-processing cost per kilobyte.
 	CPUPerKB time.Duration
-	// Jitter, when non-zero, adds a uniform random [0, Jitter) delay per
-	// delivery, drawn from the simulation's seeded random source.
-	Jitter time.Duration
-	// LossRate, when non-zero, drops each per-receiver delivery with the
-	// given probability (drawn from the seeded random source) — the
-	// lossy-datagram behaviour of a real UDP network. The protocol
-	// stacks repair losses via negative acknowledgements and periodic
-	// retries. Self-deliveries (multicast loopback) are never lost:
-	// a real stack delivers locally without touching the wire, and the
-	// protocols rely on "the sender holds its own message".
-	LossRate float64
 }
 
 // DefaultParams returns parameters approximating the paper's testbed.
@@ -109,7 +102,6 @@ func DefaultParams() Params {
 		PropDelay:          50 * time.Microsecond,
 		CPUPerMsg:          120 * time.Microsecond,
 		CPUPerKB:           80 * time.Microsecond,
-		Jitter:             0,
 	}
 }
 
@@ -121,7 +113,8 @@ type Stats struct {
 	Bytes int64
 	// Delivered is the number of per-receiver deliveries.
 	Delivered int64
-	// Dropped counts deliveries suppressed by partitions or crashes.
+	// Dropped counts deliveries suppressed by partitions, crashes or
+	// injected faults.
 	Dropped int64
 	// BusBusy is the cumulative time the bus spent transmitting.
 	BusBusy time.Duration
@@ -148,6 +141,7 @@ type Network struct {
 	nodes     map[NodeID]*node
 	order     []NodeID // deterministic iteration order (insertion order)
 	partition map[NodeID]int
+	faults    *faults.Spec
 	busFreeAt sim.Time
 	stats     Stats
 }
@@ -233,6 +227,13 @@ func (n *Network) SetPartitions(components ...[]NodeID) {
 		}
 	}
 }
+
+// SetFaults installs the spec later frames are judged by (nil clears it):
+// each delivery to a receiver other than the sender is planned by that
+// receiver's rule at transmit time, from the engine's seeded source.
+// Self-deliveries never touch the wire, so are never faulted; a nil spec
+// draws nothing.
+func (n *Network) SetFaults(fs *faults.Spec) { n.faults = fs }
 
 // Heal removes all partitions.
 func (n *Network) Heal() {
@@ -324,14 +325,26 @@ func (n *Network) transmit(from NodeID, addr Addr, msg Message, to *NodeID) {
 }
 
 func (n *Network) scheduleDelivery(from NodeID, nd *node, addr Addr, msg Message, wireAt sim.Time) {
-	if n.params.LossRate > 0 && from != nd.id && n.sim.Rand().Float64() < n.params.LossRate {
-		n.stats.Dropped++
-		return
-	}
 	arrival := wireAt.Add(n.params.PropDelay)
-	if n.params.Jitter > 0 {
-		arrival = arrival.Add(time.Duration(n.sim.Rand().Int63n(int64(n.params.Jitter))))
+	if from != nd.id {
+		send, delays := n.faults.Rule(nd.id).Plan(n.sim.Rand())
+		if !send {
+			n.stats.Dropped++
+			return
+		}
+		for _, d := range delays {
+			n.arrive(from, nd, addr, msg, arrival.Add(d))
+		}
+		if delays != nil {
+			return
+		}
 	}
+	n.arrive(from, nd, addr, msg, arrival)
+}
+
+// arrive delivers one copy of a frame to nd at the given time, unless a
+// partition or crash stands in the way by then.
+func (n *Network) arrive(from NodeID, nd *node, addr Addr, msg Message, arrival sim.Time) {
 	n.sim.At(arrival, func() {
 		// Partition and crash status are evaluated at arrival time.
 		if !n.Reachable(from, nd.id) {

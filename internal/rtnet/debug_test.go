@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
 	"plwg/internal/trace"
@@ -249,7 +250,7 @@ func debugFetch(url string) (int, string, error) {
 
 // TestDebugEndpointsConcurrent hammers every debug endpoint from several
 // goroutines while protocol traffic flows AND the fault table mutates
-// underneath (SetFaults / SetLinkFault / Block / ClearFaults mid-scrape).
+// underneath (spec installs, link overrides, blocks, clears mid-scrape).
 // The -race run is the real assertion: the debug surface — which is what
 // lwgcollect polls in production — must never race the protocol loop or
 // the fault layer, and every response must stay parseable even while the
@@ -289,6 +290,10 @@ func TestDebugEndpointsConcurrent(t *testing.T) {
 
 	// Fault mutator: cycle the whole mutation surface against the live
 	// links — spec installs, per-link overrides, symmetric blocks, clears.
+	lossy, err := faults.Parse("loss=0.1,dup=0.1,delay=100us..1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bgWg.Add(1)
 	go func() {
 		defer bgWg.Done()
@@ -300,17 +305,17 @@ func TestDebugEndpointsConcurrent(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				if err := nodes[0].SetFaults("loss=0.1,dup=0.1,delay=100us..1ms"); err != nil {
-					t.Errorf("SetFaults: %v", err)
-				}
+				nodes[0].SetFaults(lossy)
 			case 1:
-				nodes[0].SetLinkFault(2, &FaultRule{Reorder: 0.5, DelayMax: time.Millisecond})
-				nodes[1].Block(2)
+				nodes[0].SetLinkFault(2, &faults.Rule{Reorder: 0.5, DelayMax: time.Millisecond})
+				blockLinks(nodes[1], 2)
+				blockLinks(nodes[2], 1)
 			case 2:
-				nodes[1].Unblock()
+				nodes[1].SetFaults(nil)
+				nodes[2].SetFaults(nil)
 				nodes[0].SetLinkFault(2, nil)
 			case 3:
-				nodes[0].ClearFaults()
+				nodes[0].SetFaults(nil)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -372,8 +377,9 @@ func TestDebugEndpointsConcurrent(t *testing.T) {
 
 	// Leave the cluster healthy and the surface coherent: faults cleared,
 	// one final scrape parses, and the ring kept absorbing events.
-	nodes[0].ClearFaults()
-	nodes[1].Unblock()
+	for _, n := range nodes {
+		n.SetFaults(nil)
+	}
 	code, body := httpGet(t, srv.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("final /metrics status %d", code)

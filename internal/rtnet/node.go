@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
 	"plwg/internal/naming"
@@ -174,40 +175,15 @@ func (n *Node) Do(fn func(ep *core.Endpoint)) {
 	n.d.Call(func() { fn(n.ep) })
 }
 
-// Block injects a partition at this node: traffic to and from the given
-// peers is dropped until Unblock. Partition both sides symmetrically for
-// a faithful split.
-func (n *Node) Block(peers ...ids.ProcessID) {
-	n.d.Call(func() { n.tr.Block(peers...) })
-}
-
-// Unblock lifts all partition rules at this node.
-func (n *Node) Unblock() {
-	n.d.Call(func() { n.tr.Unblock() })
-}
-
-// SetFaults parses a fault spec (see ParseFaultSpec for the grammar) and
-// installs it on this node's transport, replacing any previous rules.
-// Safe from any goroutine, at any time after Listen.
-func (n *Node) SetFaults(spec string) error {
-	fs, err := ParseFaultSpec(spec)
-	if err != nil {
-		return err
-	}
-	n.tr.SetFaultSpec(fs)
-	return nil
-}
-
-// SetFaultSpec installs a parsed fault configuration (nil clears all
-// rules). Safe from any goroutine.
-func (n *Node) SetFaultSpec(fs *FaultSpec) { n.tr.SetFaultSpec(fs) }
+// SetFaults installs a fault configuration on this node's outgoing links
+// (see faults.Parse for the grammar), replacing any previous rules; nil
+// clears them all. A partition is link Block rules: block both sides for
+// a symmetric split. Safe from any goroutine, at any time after Listen.
+func (n *Node) SetFaults(fs *faults.Spec) { n.tr.SetFaults(fs) }
 
 // SetLinkFault overrides the fault rule on the directed link to one peer
 // (nil removes the override). Safe from any goroutine.
-func (n *Node) SetLinkFault(to ids.ProcessID, r *FaultRule) { n.tr.SetLinkFault(to, r) }
-
-// ClearFaults removes every fault rule. Safe from any goroutine.
-func (n *Node) ClearFaults() { n.tr.SetFaultSpec(nil) }
+func (n *Node) SetLinkFault(to ids.ProcessID, r *faults.Rule) { n.tr.SetLinkFault(to, r) }
 
 // NamingDBSnapshot returns a copy of this node's naming-server database,
 // or nil when the node hosts no server. The copy is taken on the protocol

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 )
 
@@ -30,6 +31,18 @@ func TestFaultMutationDuringTrafficAndClose(t *testing.T) {
 		return ok && v.Members.Equal(ids.NewMembers(0, 1, 2))
 	}, "membership did not converge")
 
+	var specs []*faults.Spec
+	for _, text := range []string{
+		"loss=0.2,dup=0.2,reorder=0.3,delay=100us..1ms",
+		"1:block;loss=0.05",
+		"",
+	} {
+		fs, err := faults.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, fs)
+	}
 	stopMut := make(chan struct{})
 	var mutWG sync.WaitGroup
 	// Two mutators per node flip between fault specs as fast as they can.
@@ -39,24 +52,16 @@ func TestFaultMutationDuringTrafficAndClose(t *testing.T) {
 			mutWG.Add(1)
 			go func() {
 				defer mutWG.Done()
-				specs := []string{
-					"loss=0.2,dup=0.2,reorder=0.3,delay=100us..1ms",
-					"1:block;loss=0.05",
-					"",
-				}
 				for i := 0; ; i++ {
 					select {
 					case <-stopMut:
 						return
 					default:
 					}
-					if err := n.SetFaults(specs[i%len(specs)]); err != nil {
-						t.Errorf("SetFaults: %v", err)
-						return
-					}
-					n.SetLinkFault(2, &FaultRule{Dup: 0.5})
+					n.SetFaults(specs[i%len(specs)])
+					n.SetLinkFault(2, &faults.Rule{Dup: 0.5})
 					n.SetLinkFault(2, nil)
-					n.ClearFaults()
+					n.SetFaults(nil)
 				}
 			}()
 		}

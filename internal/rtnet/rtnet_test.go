@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 )
 
@@ -183,6 +184,14 @@ func TestUDPLeave(t *testing.T) {
 	}, "leave did not shrink the view")
 }
 
+// blockLinks cuts n's outgoing links to the given peers; blocking both
+// sides of each link partitions them symmetrically.
+func blockLinks(n *Node, peers ...ids.ProcessID) {
+	for _, p := range peers {
+		n.SetLinkFault(p, &faults.Rule{Block: true})
+	}
+}
+
 // TestUDPPartitionAndHeal runs the paper's headline scenario over real
 // UDP sockets: a partition splits the group, both sides keep operating
 // with concurrent views, and the heal merges them back.
@@ -197,10 +206,10 @@ func TestUDPPartitionAndHeal(t *testing.T) {
 	}, "initial convergence")
 
 	// Partition {0,1} | {2,3}.
-	nodes[0].Block(2, 3)
-	nodes[1].Block(2, 3)
-	nodes[2].Block(0, 1)
-	nodes[3].Block(0, 1)
+	blockLinks(nodes[0], 2, 3)
+	blockLinks(nodes[1], 2, 3)
+	blockLinks(nodes[2], 0, 1)
+	blockLinks(nodes[3], 0, 1)
 	eventually(t, 20*time.Second, func() bool {
 		vA, okA := cols[0].lastView()
 		vB, okB := cols[2].lastView()
@@ -215,7 +224,7 @@ func TestUDPPartitionAndHeal(t *testing.T) {
 
 	// Heal.
 	for _, n := range nodes {
-		n.Unblock()
+		n.SetFaults(nil)
 	}
 	eventually(t, 30*time.Second, func() bool {
 		vA, okA := cols[0].lastView()

@@ -55,6 +55,7 @@ import (
 	"sync"
 	"time"
 
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
 	"plwg/internal/netsim"
@@ -166,9 +167,6 @@ type Transport struct {
 	// Loop-confined state.
 	subs    map[netsim.Addr]bool
 	handler netsim.Handler
-	// blocked emulates a network partition on the real transport:
-	// traffic to and from the listed peers is dropped.
-	blocked map[ids.ProcessID]bool
 
 	// nextMsgID numbers outgoing envelopes for fragmentation
 	// (loop-confined).
@@ -179,7 +177,8 @@ type Transport struct {
 	chunkScratch []sendChunk
 
 	// faults injects per-link loss/dup/reorder/delay/one-way-block on
-	// the send path. Mutable from any goroutine (see faults.go).
+	// the send path; a partition is a set of link Block rules. Mutable
+	// from any goroutine (see faults.go).
 	faults *faultTable
 
 	// tracer receives wire-level receive events (WireRecv) so live rings
@@ -339,13 +338,12 @@ func (t *Transport) countSend(n int) {
 // address. Call SetHandler before Start.
 func NewTransport(d *Driver, pid ids.ProcessID, conn *net.UDPConn, peers map[ids.ProcessID]*net.UDPAddr) *Transport {
 	t := &Transport{
-		d:       d,
-		pid:     pid,
-		conn:    conn,
-		subs:    make(map[netsim.Addr]bool),
-		blocked: make(map[ids.ProcessID]bool),
-		faults:  newFaultTable(1),
-		closed:  make(chan struct{}),
+		d:      d,
+		pid:    pid,
+		conn:   conn,
+		subs:   make(map[netsim.Addr]bool),
+		faults: newFaultTable(1),
+		closed: make(chan struct{}),
 	}
 	filtered := make(map[ids.ProcessID]*net.UDPAddr, len(peers))
 	for p, a := range peers {
@@ -451,33 +449,19 @@ func (t *Transport) Unsubscribe(id netsim.NodeID, addr netsim.Addr) {
 	}
 }
 
-// Block drops all traffic to and from the listed peers until Unblock —
-// fault injection emulating a network partition on the real transport.
-// Must be called on the driver loop (via Driver.Do/Call).
-func (t *Transport) Block(peers ...ids.ProcessID) {
-	for _, p := range peers {
-		t.blocked[p] = true
-	}
-}
-
-// Unblock lifts all Block rules. Must be called on the driver loop.
-func (t *Transport) Unblock() {
-	t.blocked = make(map[ids.ProcessID]bool)
-}
-
 // SeedFaults reseeds the fault-injection RNG; decisions are a pure
 // function of the seed and the outgoing datagram sequence. Safe from
 // any goroutine.
 func (t *Transport) SeedFaults(seed int64) { t.faults.reseed(seed) }
 
-// SetFaultSpec replaces the whole fault configuration (nil clears all
+// SetFaults replaces the whole fault configuration (nil clears all
 // rules). Safe from any goroutine, including while traffic flows.
-func (t *Transport) SetFaultSpec(fs *FaultSpec) { t.faults.install(fs) }
+func (t *Transport) SetFaults(fs *faults.Spec) { t.faults.install(fs) }
 
 // SetLinkFault overrides the rule for the directed link to one peer
 // (nil removes the override, falling back to the default rule). Safe
 // from any goroutine.
-func (t *Transport) SetLinkFault(to ids.ProcessID, r *FaultRule) { t.faults.setLink(to, r) }
+func (t *Transport) SetLinkFault(to ids.ProcessID, r *faults.Rule) { t.faults.setLink(to, r) }
 
 // dispatch hands one datagram to the wire. Pipeline: non-blocking
 // enqueue on the destination's send-ring shard, dropping (with the
@@ -618,9 +602,6 @@ func (t *Transport) Multicast(from netsim.NodeID, addr netsim.Addr, msg netsim.M
 		return // counted by encodeChunks
 	}
 	for _, p := range t.order {
-		if t.blocked[p] {
-			continue
-		}
 		t.sendChunks(p, t.peersAP[p], chunks)
 	}
 	if buf != nil {
@@ -651,7 +632,7 @@ func (t *Transport) Unicast(from, to netsim.NodeID, addr netsim.Addr, msg netsim
 		return
 	}
 	peer, ok := t.peersAP[to]
-	if !ok || t.blocked[to] {
+	if !ok {
 		return
 	}
 	env := envelope{From: from, Addr: string(addr), Uni: true, Msg: msg}
@@ -668,12 +649,9 @@ func (t *Transport) Unicast(from, to netsim.NodeID, addr netsim.Addr, msg netsim
 }
 
 // deliverEnv runs the receive-side protocol checks for one decoded
-// envelope. Loop-confined: it reads blocked/subs and invokes the
-// handler, so it must only run on the driver goroutine (the inbox).
+// envelope. Loop-confined: it reads subs and invokes the handler, so it
+// must only run on the driver goroutine (the inbox).
 func (t *Transport) deliverEnv(env *envelope) {
-	if t.blocked[env.From] {
-		return // partitioned away
-	}
 	addr := netsim.Addr(env.Addr)
 	if !env.Uni && !t.subs[addr] {
 		return // not subscribed: filtered like IP multicast

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/netsim"
 	"plwg/internal/sim"
@@ -102,15 +103,15 @@ func TestDigestTracking(t *testing.T) {
 }
 
 // TestGapRetransmissionOnDivergence drives the flush-pull path: delivery
-// jitter plus a partition striking mid-flight make two members of one
-// side diverge on the messages they received; the flush digests expose
-// the gap, the initiator pulls the copies, and view synchrony holds.
+// jitter (a delay=0..3ms fault rule) plus a partition striking mid-flight
+// make two members of one side diverge on the messages they received; the
+// flush digests expose the gap, the initiator pulls the copies, and view
+// synchrony holds.
 func TestGapRetransmissionOnDivergence(t *testing.T) {
 	runSeed := func(seed int64) (pulled bool, w *world) {
 		s := sim.New(seed)
-		params := netsim.DefaultParams()
-		params.Jitter = 3 * time.Millisecond
-		nw := netsim.New(s, params)
+		nw := netsim.New(s, netsim.DefaultParams())
+		nw.SetFaults(&faults.Spec{Default: &faults.Rule{DelayMax: 3 * time.Millisecond}})
 		rec := &trace.Recorder{}
 		w = &world{
 			t: t, s: s, nw: nw,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/netsim"
 	"plwg/internal/sim"
@@ -14,9 +15,9 @@ import (
 // deliveries, like real UDP.
 func lossyWorld(t *testing.T, n int, lossRate float64, seed int64) *world {
 	t.Helper()
-	params := netsim.DefaultParams()
-	params.LossRate = lossRate
-	return netWorld(t, n, params, seed)
+	w := netWorld(t, n, netsim.DefaultParams(), seed)
+	w.nw.SetFaults(&faults.Spec{Default: &faults.Rule{Loss: lossRate}})
+	return w
 }
 
 // netWorld builds a cluster of n stacks on the given network.
