@@ -28,8 +28,19 @@ import (
 // batch is instead requeued as pending sends and re-tagged when the
 // LWGs drain after the next view installs.
 
+// Flush timing: packing is a rate limit, not a dwell. The timer-driven
+// flush fires at max(now, lastFlush + MaxBatchDelay), where lastFlush is
+// the last data multicast this endpoint put on the HWG. On a quiet HWG
+// that is a zero-delay timer, which the engine runs after every event
+// already queued for the same instant (and the real-time driver after
+// the inbox batch it just drained) — so sends made together, in one
+// handler or in several at one instant, still leave as one frame, while
+// a lone send never waits for companions that are not coming. On a busy
+// HWG, timer-driven flushes are spaced at least MaxBatchDelay apart and
+// the batch fills in between.
+
 // enqueueBatch adds one data message to the HWG's send batch, flushing
-// by size or arming the delay flush.
+// by size or arming the timer-driven flush.
 func (e *Endpoint) enqueueBatch(st *hwgState, msg *lwgData) {
 	st.batch = append(st.batch, msg)
 	st.batchBytes += msg.WireSize()
@@ -38,7 +49,7 @@ func (e *Endpoint) enqueueBatch(st *hwgState, msg *lwgData) {
 		return
 	}
 	if st.batchTimer == nil {
-		st.batchTimer = e.clock.After(e.cfg.MaxBatchDelay, func() {
+		st.batchTimer = e.clock.At(st.nextFlush, func() {
 			st.batchTimer = nil
 			e.flushBatch(st)
 		})
@@ -62,6 +73,7 @@ func (e *Endpoint) flushBatch(st *hwgState) {
 	batch := st.batch
 	bytes := st.batchBytes
 	st.batch, st.batchBytes = nil, 0
+	st.nextFlush = e.clock.Now().Add(e.cfg.MaxBatchDelay)
 	for _, msg := range batch {
 		e.traceSend(msg)
 	}

@@ -85,9 +85,13 @@ type Config struct {
 	// HWG coalesce into one multicast, amortizing per-frame overhead
 	// and per-receiver processing cost across the batch.
 	MaxBatchBytes int
-	// MaxBatchDelay bounds how long a packed payload may wait for
-	// companions before the batch is flushed — a fraction of the bus
-	// round-trip, so batching never dominates delivery latency.
+	// MaxBatchDelay bounds how long a packed payload may wait in the
+	// batch, and is the least spacing between two timer-driven flushes
+	// on one HWG: a send is flushed at max(now, lastFlush +
+	// MaxBatchDelay), lastFlush being this endpoint's last data
+	// multicast on the HWG. A quiet HWG therefore flushes at the end of
+	// the current instant, packing only the sends made together, and a
+	// busy one at most once per MaxBatchDelay.
 	MaxBatchDelay time.Duration
 }
 
@@ -256,10 +260,14 @@ type hwgState struct {
 
 	// batch packs outgoing lwgData from every local LWG mapped on this
 	// HWG into one multicast; flushed by size (Config.MaxBatchBytes),
-	// delay (Config.MaxBatchDelay), or any control-message send.
+	// by batchTimer, or by any control-message send.
 	batch      []*lwgData
 	batchBytes int
 	batchTimer *sim.Timer
+	// nextFlush is the earliest instant batchTimer may fire: the last
+	// data multicast on this HWG plus Config.MaxBatchDelay; zero (quiet)
+	// before the first.
+	nextFlush sim.Time
 }
 
 // NewNode builds one node on the mux, simulated or real: the light-weight

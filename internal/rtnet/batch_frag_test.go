@@ -10,6 +10,7 @@ import (
 
 	"plwg/internal/core"
 	"plwg/internal/ids"
+	"plwg/internal/metrics"
 	"plwg/internal/wire"
 )
 
@@ -97,21 +98,26 @@ func TestEnvelopeCodecSurvivesFragmentation(t *testing.T) {
 // sockets.
 func TestUDPBatchCrossesFragmentation(t *testing.T) {
 	svc := core.Config{
-		MaxBatchBytes: 256 * 1024, // flush by delay, not size
+		MaxBatchBytes: 256 * 1024, // flush by timer, not size
 		MaxBatchDelay: 25 * time.Millisecond,
 	}
+	reg := metrics.NewRegistry() // the sender's: counts its batch flushes
 	nodes := make([]*Node, 2)
 	cols := make([]*collector, 2)
 	for i := 0; i < 2; i++ {
 		cols[i] = &collector{}
-		node, err := Listen(NodeConfig{
+		cfg := NodeConfig{
 			PID:         ids.ProcessID(i),
 			Listen:      "127.0.0.1:0",
 			NameServers: []ids.ProcessID{0},
 			Service:     svc,
 			Upcalls:     cols[i],
 			Seed:        int64(i + 1),
-		})
+		}
+		if i == 0 {
+			cfg.Metrics = reg
+		}
+		node, err := Listen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +151,17 @@ func TestUDPBatchCrossesFragmentation(t *testing.T) {
 
 	// Six ~10 KiB sends in one driver turn: they coalesce into a single
 	// batch of ~60 KiB, which must cross the 32 KiB fragment boundary.
+	// The batch flushes at the end of the turn, whatever the HWG's
+	// flush history: the sends are made together.
 	const n = 6
 	var want []string
 	for i := 0; i < n; i++ {
 		want = append(want, fmt.Sprintf("%d|%s", i, strings.Repeat(string(rune('a'+i)), 10*1024)))
 	}
+	flushes := reg.Counter("lwg_batch_flushes_total")
+	msgs := reg.Counter("lwg_batched_msgs_total")
+	batched := reg.Counter("lwg_batched_bytes_total")
+	flushes0, msgs0, batched0 := flushes.Value(), msgs.Value(), batched.Value()
 	nodes[0].Do(func(ep *core.Endpoint) {
 		for _, msg := range want {
 			if err := ep.Send("big", []byte(msg)); err != nil {
@@ -164,6 +176,10 @@ func TestUDPBatchCrossesFragmentation(t *testing.T) {
 	got := cols[1].dataCopy()
 	if len(got) != n {
 		t.Fatalf("receiver delivered %d messages, want %d", len(got), n)
+	}
+	if f, m, b := flushes.Value()-flushes0, msgs.Value()-msgs0, batched.Value()-batched0; f != 1 || m != n || b <= fragPayload {
+		t.Fatalf("sender flushed %d batches of %d messages, %d B in all; want 1 batch of %d messages, over %d B",
+			f, m, b, n, fragPayload)
 	}
 	for i, msg := range want {
 		if got[i] != "p0:"+msg {
