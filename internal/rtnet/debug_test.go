@@ -170,6 +170,7 @@ func TestDebugEndpoints(t *testing.T) {
 		series := parseTextMetrics(t, body)
 		for _, want := range []string{
 			"rtnet_datagrams_sent_total", "rtnet_datagrams_recv_total",
+			"rtnet_bundled_frames_total",
 			"hwg_sends_total", "hwg_view_installs_total",
 			"lwg_joins_total", "lwg_view_installs_total",
 			"ns_rounds_total",

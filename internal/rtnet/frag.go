@@ -10,10 +10,15 @@ import (
 // UDP datagrams top out near 64 KiB (and fragment at the IP layer long
 // before that); protocol messages — flush fills, naming databases, state
 // transfers — can exceed it. The transport therefore chunks every
-// encoded envelope into datagrams of at most fragPayload bytes and
-// reassembles on receipt. Loss of any chunk abandons the whole message
-// after a timeout, which is indistinguishable from losing the datagram —
-// the protocols already tolerate that.
+// encoded envelope into frames of at most fragHeader+fragPayload bytes
+// and reassembles on receipt. Loss of any chunk abandons the whole
+// message after a timeout, which is indistinguishable from losing the
+// datagram — the protocols already tolerate that.
+//
+// A datagram is either one frame, or a bundle: bundleMagic, then one or
+// more (uvarint length, frame) pairs. The send-ring writers bundle the
+// frames already queued for one peer, up to maxDatagram bytes, so a
+// burst of small messages costs one socket write instead of one each.
 
 const (
 	// fragPayload is the chunk payload size: safely below common UDP
@@ -25,7 +30,53 @@ const (
 	fragTimeout = 5 * time.Second
 )
 
-var fragMagic = [2]byte{0xB6, 0x1D}
+// maxDatagram is the largest datagram the transport writes: one full
+// chunk, or a bundle of smaller frames.
+const maxDatagram = fragHeader + fragPayload
+
+var (
+	fragMagic   = [2]byte{0xB6, 0x1D}
+	bundleMagic = [2]byte{0xB6, 0x1E}
+)
+
+// isBundle reports whether a datagram carries bundle framing.
+func isBundle(d []byte) bool {
+	return len(d) >= 2 && d[0] == bundleMagic[0] && d[1] == bundleMagic[1]
+}
+
+// nextFrame splits the first (uvarint length, frame) pair off a bundle
+// body. ok is false when the length is unreadable or runs past the end.
+func nextFrame(body []byte) (frame, rest []byte, ok bool) {
+	n, k := binary.Uvarint(body)
+	if k <= 0 || n > uint64(len(body)-k) {
+		return nil, nil, false
+	}
+	end := k + int(n)
+	return body[k:end], body[end:], true
+}
+
+// validBundle checks a bundle body before any of it is used: one or more
+// frames that consume it exactly, each long enough for a fragment header
+// and starting with the fragment magic (so a bundle never nests).
+func validBundle(body []byte) bool {
+	if len(body) == 0 {
+		return false
+	}
+	for len(body) > 0 {
+		f, rest, ok := nextFrame(body)
+		if !ok || len(f) < fragHeader || f[0] != fragMagic[0] || f[1] != fragMagic[1] {
+			return false
+		}
+		body = rest
+	}
+	return true
+}
+
+// bundledSize is what one frame adds to a bundle.
+func bundledSize(frame []byte) int {
+	var n [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(n[:], uint64(len(frame))) + len(frame)
+}
 
 // fragKey identifies a reassembly: datagrams carry no decoded sender
 // identity, so the remote socket address stands in for it. The address
@@ -37,9 +88,12 @@ type fragKey struct {
 	msgID uint64
 }
 
+// fragBuf holds the chunks of one message by index. The map grows with
+// the chunks that arrive, not with the total a header claims, so a
+// 14-byte datagram cannot make the reassembler allocate 65,535 slots.
 type fragBuf struct {
-	chunks  [][]byte
-	have    int
+	chunks  map[uint16][]byte
+	total   int
 	started time.Time
 }
 
@@ -120,27 +174,22 @@ func (r *reassembler) add(from netip.AddrPort, datagram []byte) ([]byte, error) 
 	}
 	k := fragKey{from: from, msgID: msgID}
 	b := r.bufs[k]
-	if b == nil {
-		b = &fragBuf{chunks: make([][]byte, total), started: r.now()}
+	if b == nil || b.total != total {
+		// New message, or conflicting totals: (re)start the buffer.
+		b = &fragBuf{chunks: make(map[uint16][]byte), total: total, started: r.now()}
 		r.bufs[k] = b
 	}
-	if len(b.chunks) != total {
-		// Conflicting totals: restart the buffer.
-		b = &fragBuf{chunks: make([][]byte, total), started: r.now()}
-		r.bufs[k] = b
+	if _, dup := b.chunks[uint16(idx)]; !dup {
+		b.chunks[uint16(idx)] = payload
 	}
-	if b.chunks[idx] == nil {
-		b.chunks[idx] = payload
-		b.have++
-	}
-	if b.have < total {
+	if len(b.chunks) < total {
 		r.gc()
 		return nil, nil
 	}
 	delete(r.bufs, k)
 	var out []byte
-	for _, c := range b.chunks {
-		out = append(out, c...)
+	for i := 0; i < total; i++ {
+		out = append(out, b.chunks[uint16(i)]...)
 	}
 	return out, nil
 }

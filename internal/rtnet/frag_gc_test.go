@@ -104,7 +104,7 @@ func TestFragStormConflictingTotals(t *testing.T) {
 		t.Fatalf("conflicting chunk: out=%v err=%v", out, err)
 	}
 	b := r.bufs[fragKey{from: from, msgID: 1}]
-	if b == nil || len(b.chunks) != 2 || b.have != 1 {
+	if b == nil || b.total != 2 || len(b.chunks) != 1 {
 		t.Fatalf("buffer not restarted: %+v", b)
 	}
 	// A late chunk of the old flavour conflicts again and restarts again.

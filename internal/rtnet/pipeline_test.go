@@ -1,16 +1,21 @@
 package rtnet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"plwg/internal/core"
+	"plwg/internal/faults"
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
+	"plwg/internal/netsim"
 	"plwg/internal/wire"
 )
 
@@ -179,11 +184,10 @@ func TestSendRingOverflowBackpressure(t *testing.T) {
 		t.Fatalf("ring holds %d requests, want %d", got, ringCap)
 	}
 	// Refcount audit: the encoder reference plus one per queued request
-	// must remain; the overflowed references must already be gone. Drain
-	// and release everything — a correct count ends exactly at zero
-	// references (Release returns the buffer to the pool on the last
-	// one, which we can't observe directly, so check via the counter
-	// value reached before).
+	// must remain; the overflowed references must already be gone.
+	if got := buf.Refs(); got != 1+ringCap {
+		t.Fatalf("%d references after overflow, want %d", got, 1+ringCap)
+	}
 	for i := 0; i < ringCap; i++ {
 		req := <-tr.sendQs[0]
 		req.buf.Release()
@@ -339,5 +343,263 @@ func TestInlineDataPlaneDelivers(t *testing.T) {
 	case <-closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return on the inline data plane")
+	}
+}
+
+func listenLoopback(t testing.TB) *net.UDPConn {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+func addrPort(c *net.UDPConn) netip.AddrPort {
+	return c.LocalAddr().(*net.UDPAddr).AddrPort()
+}
+
+// newWriterRig builds process 0's transport with one send ring and no
+// writer yet, so a test can queue a burst before any of it leaves, and
+// npeers loopback sockets addressed as processes 1..npeers.
+func newWriterRig(t testing.TB, ringCap, npeers int) (*Transport, *metrics.Registry, []*net.UDPConn) {
+	t.Helper()
+	tr := NewTransport(NewDriver(1), 0, listenLoopback(t), nil)
+	reg := metrics.NewRegistry()
+	tr.Instrument(reg)
+	tr.sendQs = []chan sendReq{make(chan sendReq, ringCap)}
+	var peers []*net.UDPConn
+	book := make(map[ids.ProcessID]*net.UDPAddr, npeers)
+	for i := 0; i < npeers; i++ {
+		pc := listenLoopback(t)
+		peers = append(peers, pc)
+		book[ids.ProcessID(i+1)] = pc.LocalAddr().(*net.UDPAddr)
+	}
+	tr.setPeers(book)
+	t.Cleanup(tr.Close)
+	return tr, reg, peers
+}
+
+// startWriter starts the rig's writer on its ring.
+func (t *Transport) startWriter() {
+	t.writerWG.Add(1)
+	go t.writeLoop(t.sendQs[0])
+}
+
+// splitFrames is the test's own reading of the datagram layer: a
+// fragment is one frame; a bundle is 0xB6 0x1E, then (uvarint length,
+// frame) pairs. Bad framing yields nil.
+func splitFrames(d []byte) [][]byte {
+	if len(d) < 2 || d[0] != 0xB6 || d[1] != 0x1E {
+		return [][]byte{d}
+	}
+	var out [][]byte
+	for rest := d[2:]; len(rest) > 0; {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || n > uint64(len(rest)-k) {
+			return nil
+		}
+		out = append(out, rest[k:k+int(n)])
+		rest = rest[k+int(n):]
+	}
+	return out
+}
+
+// receiveDatagrams reads each peer socket until want frames have arrived
+// there or 5 s pass. Start it before the writer; the returned function
+// waits and yields each peer's datagrams.
+func receiveDatagrams(peers []*net.UDPConn, want int) func() [][][]byte {
+	out := make([][][]byte, len(peers))
+	var wg sync.WaitGroup
+	for i, pc := range peers {
+		i, pc := i, pc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 2*maxDatagram)
+			_ = pc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for frames := 0; frames < want; {
+				n, err := pc.Read(buf)
+				if err != nil {
+					return
+				}
+				d := bytes.Clone(buf[:n])
+				out[i] = append(out[i], d)
+				frames += len(splitFrames(d))
+			}
+		}()
+	}
+	return func() [][][]byte { wg.Wait(); return out }
+}
+
+// TestWriterBundlesPerPeer queues frames for two peers, interleaved and
+// of mixed sizes up to a full chunk, before the writer starts, so one
+// burst takes them all. Each peer must receive its frames unaltered and
+// in queue order across several bundles, no datagram may exceed
+// maxDatagram, the full chunk must leave alone and unchanged, the
+// counters must match what arrived, and every buffer reference the ring
+// held must be released.
+func TestWriterBundlesPerPeer(t *testing.T) {
+	const perPeer = 90
+	tr, reg, peers := newWriterRig(t, 2*perPeer, 2)
+	sizes := []int{20, 200, 2000}
+	full := perPeer / 2
+	var sent [2][][]byte
+	var bufs []*wire.Buffer
+	for k := 0; k < perPeer; k++ {
+		for p, pc := range peers {
+			size := sizes[k%len(sizes)]
+			if k == full {
+				size = maxDatagram
+			}
+			b := wire.GetBuffer()
+			b.B = append(b.B, bytes.Repeat([]byte{byte(p)}, size)...)
+			writeFragHeader(b.B, uint64(k), 0, 1)
+			b.Retain() // the audit's own reference
+			bufs = append(bufs, b)
+			sent[p] = append(sent[p], b.B)
+			tr.dispatch(sendReq{data: b.B, buf: b, to: addrPort(pc)})
+		}
+	}
+	wait := receiveDatagrams(peers, perPeer)
+	tr.startWriter()
+	got := wait()
+	tr.Close() // the writer has returned: every release it makes is done
+
+	datagrams, bundled := 0, 0
+	for p, dgs := range got {
+		var frames [][]byte
+		bundles, fullAlone := 0, false
+		for _, d := range dgs {
+			if len(d) > maxDatagram {
+				t.Errorf("peer %d: %d-byte datagram, above the %d-byte limit", p, len(d), maxDatagram)
+			}
+			fs := splitFrames(d)
+			if len(fs) > 1 {
+				bundles++
+				bundled += len(fs)
+			}
+			fullAlone = fullAlone || bytes.Equal(d, sent[p][full])
+			frames = append(frames, fs...)
+		}
+		datagrams += len(dgs)
+		if len(frames) != perPeer {
+			t.Fatalf("peer %d received %d frames in %d datagrams, want %d", p, len(frames), len(dgs), perPeer)
+		}
+		for k, f := range frames {
+			if !bytes.Equal(f, sent[p][k]) {
+				t.Fatalf("peer %d: frame %d is not the %d-th frame queued (reordered or altered)", p, k, k)
+			}
+		}
+		if bundles < 2 || !fullAlone {
+			t.Errorf("peer %d: %d bundles, full chunk alone %v; want ≥ 2 bundles and the chunk alone", p, bundles, fullAlone)
+		}
+	}
+	totals := reg.Totals()
+	if totals["rtnet_datagrams_sent_total"] != int64(datagrams) || totals["rtnet_bundled_frames_total"] != int64(bundled) {
+		t.Errorf("counted %d datagrams, %d bundled frames; received %d, %d",
+			totals["rtnet_datagrams_sent_total"], totals["rtnet_bundled_frames_total"], datagrams, bundled)
+	}
+	for i, b := range bufs {
+		if r := b.Refs(); r != 1 {
+			t.Fatalf("buffer %d holds %d references after the write, want the audit's 1", i, r)
+		}
+		b.Release()
+	}
+}
+
+// TestWriterLoneFrameUnchanged: a frame with nothing queued beside it
+// leaves as exactly the datagram encodeChunks built, which is what the
+// transport wrote for every frame before it bundled any.
+func TestWriterLoneFrameUnchanged(t *testing.T) {
+	registerFragTestMsg()
+	tr, reg, peers := newWriterRig(t, 4, 1)
+	env := envelope{From: 0, Addr: "hwg/1", Msg: &fragTestMsg{Data: []byte("alone")}}
+	chunks, buf := tr.encodeChunks(&env)
+	want := bytes.Clone(chunks[0].data)
+	tr.sendChunks(1, addrPort(peers[0]), chunks)
+	buf.Release()
+	wait := receiveDatagrams(peers, 1)
+	tr.startWriter()
+	if dgs := wait()[0]; len(dgs) != 1 || !bytes.Equal(dgs[0], want) {
+		t.Fatalf("received %x, want the one datagram %x", dgs, want)
+	}
+	if n := reg.Totals()["rtnet_bundled_frames_total"]; n != 0 {
+		t.Fatalf("%d frames counted as bundled, want 0", n)
+	}
+}
+
+// TestDupTwinsBundledBothDeliver: under dup=1 the fault plan queues every
+// frame twice. When the twins leave in one bundle, the receiver must
+// decode and deliver both, as it does when each is a datagram of its own.
+func TestDupTwinsBundledBothDeliver(t *testing.T) {
+	registerFragTestMsg()
+	tx, txReg, peers := newWriterRig(t, 4, 1)
+	fs, err := faults.Parse("dup=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.SetFaults(fs)
+
+	d := NewDriver(1)
+	rx := NewTransport(d, 1, peers[0], map[ids.ProcessID]*net.UDPAddr{0: tx.LocalAddr()})
+	rxReg := metrics.NewRegistry()
+	rx.Instrument(rxReg)
+	got := make(chan string, 4)
+	rx.SetHandler(func(_ netsim.NodeID, _ netsim.Addr, m netsim.Message) {
+		got <- string(m.(*fragTestMsg).Data)
+	})
+	d.Start()
+	rx.Start()
+	defer d.Close()
+	defer rx.Close()
+
+	tx.Unicast(0, 1, "ns/0", &fragTestMsg{Data: []byte("twin")})
+	tx.startWriter()
+	for i := 0; i < 2; i++ {
+		select {
+		case s := <-got:
+			if s != "twin" {
+				t.Fatalf("delivered %q, want \"twin\"", s)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of the 2 twins delivered", i)
+		}
+	}
+	if n := txReg.Totals()["rtnet_bundled_frames_total"]; n != 2 {
+		t.Fatalf("%d frames bundled, want both twins in one datagram", n)
+	}
+	if n := rxReg.Totals()["rtnet_datagrams_recv_total"]; n != 1 {
+		t.Fatalf("receiver read %d datagrams, want 1", n)
+	}
+}
+
+// TestSendRefsReleasedOnClose closes a started transport while its
+// writers are mid-burst: every buffer reference taken from the rings
+// must still be released, whether its frame was written, failed on the
+// closed socket, overflowed, or was left queued for Close to drain. The
+// -race run checks the hand-offs.
+func TestSendRefsReleasedOnClose(t *testing.T) {
+	var to []netip.AddrPort
+	for i := 0; i < 3; i++ {
+		to = append(to, addrPort(listenLoopback(t)))
+	}
+	for round := 0; round < 20; round++ {
+		tr := NewTransport(NewDriver(1), 0, listenLoopback(t), nil)
+		tr.Start()
+		b := wire.GetBuffer()
+		b.B = append(b.B, make([]byte, 300)...)
+		writeFragHeader(b.B, 1, 0, 1)
+		for i := 0; i < 600; i++ {
+			b.Retain()
+			tr.dispatch(sendReq{data: b.B, buf: b, to: to[i%len(to)]})
+		}
+		time.Sleep(time.Duration(round) * 20 * time.Microsecond)
+		tr.Close()
+		if r := b.Refs(); r != 1 {
+			t.Fatalf("round %d: %d references outlive Close", round, r-1)
+		}
+		b.Release()
 	}
 }

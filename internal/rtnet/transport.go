@@ -14,7 +14,10 @@
 //	    protocol stacks, fault-injection decisions, encode + fragment
 //	           │ sendChunks → send rings (bounded, sharded by peer)
 //	           ▼
-//	    writer goroutines ── WriteToUDPAddrPort ──► UDP socket
+//	    writer goroutines: take what is queued, bundle per peer
+//	           │ WriteToUDPAddrPort
+//	           ▼
+//	       UDP socket
 //
 // Invariants that make this safe:
 //
@@ -31,13 +34,19 @@
 //     reference-counted wire.Buffer (the fragment header is written in
 //     place); the last writer to finish releases it to the pool.
 //   - The send path shards by destination: each writer owns one ring
-//     and each peer maps to one ring, so a peer's datagrams leave in
-//     FIFO order. (A single shared ring with concurrent writers would
-//     reorder adjacent same-peer datagrams on every send; the
+//     and each peer maps to one ring, so a peer's frames leave in FIFO
+//     order. (A single shared ring with concurrent writers would
+//     reorder adjacent same-peer frames on every send; the
 //     protocols treat reordering as rare transport misbehaviour to
 //     repair, not a steady state to live under.)
+//   - A writer that wakes for one frame also takes whatever else is
+//     already on its ring, without waiting for more, and packs each
+//     peer's frames, in order, into datagrams of at most maxDatagram
+//     bytes. A frame that travels alone leaves byte for byte as it was
+//     queued, so bundling changes the number of writes, never the frames
+//     or the fault plan that chose them.
 //   - The rings are bounded: when a writer falls behind, enqueue drops
-//     the datagram and counts rtnet_send_ring_overflow_total instead
+//     the frame and counts rtnet_send_ring_overflow_total instead
 //     of blocking the protocol loop. UDP loss is already part of the
 //     model; the vsync NACK machinery repairs it.
 //
@@ -48,6 +57,8 @@
 package rtnet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
@@ -106,10 +117,10 @@ const (
 	maxDecodeWorkers = 4
 	// sendWriters is the number of writer goroutines. Each drains its
 	// own send-ring shard and peers map to shards by address hash,
-	// preserving per-peer datagram order.
+	// preserving per-peer frame order.
 	sendWriters = 2
 	// sendRingSize bounds the send rings' total capacity across shards,
-	// in datagrams. When a destination's shard is full the datagram is
+	// in frames. When a destination's shard is full the frame is
 	// dropped and counted in rtnet_send_ring_overflow_total — explicit
 	// backpressure instead of silently blocking the protocol loop.
 	sendRingSize = 4096
@@ -135,7 +146,7 @@ type decodeWorker struct {
 	ch chan rxDatagram
 }
 
-// sendChunk is one datagram of an encoded message, pre-fault-plan. When
+// sendChunk is one frame of an encoded message, pre-fault-plan. When
 // buf is non-nil, data aliases the refcounted buffer and every enqueue
 // must Retain it; when nil, data is a GC-owned slice shared freely.
 type sendChunk struct {
@@ -143,7 +154,7 @@ type sendChunk struct {
 	buf  *wire.Buffer
 }
 
-// sendReq is one datagram on the send ring. The request owns one
+// sendReq is one frame on the send ring. The request owns one
 // reference on buf (when non-nil); whoever finishes with the request —
 // writer, overflow drop, or shutdown drain — releases it.
 type sendReq struct {
@@ -236,6 +247,7 @@ type transportMetrics struct {
 	dgramsMalformed  *metrics.Counter
 	sendErrors       *metrics.Counter
 	sendRingOverflow *metrics.Counter
+	bundledFrames    *metrics.Counter
 	sendRingDepth    *metrics.Gauge
 	decodeQueueDepth *metrics.Gauge
 	traceCtxSent     *metrics.Counter
@@ -254,6 +266,7 @@ func (t *Transport) Instrument(r *metrics.Registry) {
 		dgramsMalformed:  r.Counter("rtnet_datagrams_malformed_total"),
 		sendErrors:       r.Counter("rtnet_send_errors_total"),
 		sendRingOverflow: r.Counter("rtnet_send_ring_overflow_total"),
+		bundledFrames:    r.Counter("rtnet_bundled_frames_total"),
 		sendRingDepth:    r.Gauge("rtnet_send_ring_depth"),
 		decodeQueueDepth: r.Gauge("rtnet_decode_queue_depth"),
 		traceCtxSent:     r.Counter("rtnet_trace_ctx_sent_total"),
@@ -463,7 +476,7 @@ func (t *Transport) SetFaults(fs *faults.Spec) { t.faults.install(fs) }
 // from any goroutine.
 func (t *Transport) SetLinkFault(to ids.ProcessID, r *faults.Rule) { t.faults.setLink(to, r) }
 
-// dispatch hands one datagram to the wire. Pipeline: non-blocking
+// dispatch hands one frame to the wire. Pipeline: non-blocking
 // enqueue on the destination's send-ring shard, dropping (with the
 // overflow counter) when that writer has fallen a full ring behind.
 // Inline: synchronous write on the caller's goroutine. Takes ownership
@@ -485,35 +498,104 @@ func (t *Transport) dispatch(req sendReq) {
 	}
 }
 
-// writeOut performs the socket write and releases the request's buffer
-// reference. Write failures count in rtnet_send_errors_total unless the
-// transport is shutting down (closing the socket makes in-flight writes
-// fail by design).
+// writeOut writes one frame as its own datagram and releases the
+// request's buffer reference.
 func (t *Transport) writeOut(req sendReq) {
-	if _, err := t.conn.WriteToUDPAddrPort(req.data, req.to); err != nil {
-		select {
-		case <-t.closed:
-		default:
-			t.ins.sendErrors.Inc()
-		}
-	} else {
-		t.countSend(len(req.data))
-	}
+	t.write(req.data, req.to)
 	if req.buf != nil {
 		req.buf.Release()
 	}
 }
 
+// write performs one socket write. Failures count in
+// rtnet_send_errors_total unless the transport is shutting down
+// (closing the socket makes in-flight writes fail by design).
+func (t *Transport) write(datagram []byte, to netip.AddrPort) {
+	if _, err := t.conn.WriteToUDPAddrPort(datagram, to); err != nil {
+		select {
+		case <-t.closed:
+		default:
+			t.ins.sendErrors.Inc()
+		}
+		return
+	}
+	t.countSend(len(datagram))
+}
+
+// writeLoop is one send-ring writer. Each wake-up takes the request that
+// woke it plus whatever is already queued — at most one ring's worth,
+// and never waiting for more — and writes them as one burst.
 func (t *Transport) writeLoop(q chan sendReq) {
 	defer t.writerWG.Done()
+	var (
+		reqs   []sendReq // the current burst, reused across wake-ups
+		bundle []byte    // bundle assembly scratch, reused likewise
+	)
 	for {
 		select {
 		case <-t.closed:
 			return
 		case req := <-q:
-			t.writeOut(req)
+			reqs = append(reqs[:0], req)
+		drain:
+			for len(reqs) < cap(q) {
+				select {
+				case req := <-q:
+					reqs = append(reqs, req)
+				default:
+					break drain
+				}
+			}
+			bundle = t.writeBurst(reqs, bundle)
 		}
 	}
+}
+
+// writeBurst writes a burst of send requests and releases every
+// request's buffer reference. Per destination, in ring order, it packs
+// consecutive frames into one bundle while the bundle stays within
+// maxDatagram; a frame that no later frame for its peer fits beside
+// goes out alone, unchanged. Requests to different peers may leave in a different order
+// than they were queued; those to one peer never do. bundle is scratch
+// for assembling bundles; the grown scratch is returned for reuse.
+func (t *Transport) writeBurst(reqs []sendReq, bundle []byte) []byte {
+	for i := range reqs {
+		if reqs[i].data == nil {
+			continue // already written in an earlier bundle
+		}
+		to := reqs[i].to
+		size, last, n := len(bundleMagic)+bundledSize(reqs[i].data), i, 1
+		for j := i + 1; j < len(reqs); j++ {
+			if reqs[j].data == nil || reqs[j].to != to {
+				continue
+			}
+			s := bundledSize(reqs[j].data)
+			if size+s > maxDatagram {
+				break
+			}
+			size, last, n = size+s, j, n+1
+		}
+		if n == 1 {
+			t.writeOut(reqs[i])
+			reqs[i] = sendReq{}
+			continue
+		}
+		bundle = append(bundle[:0], bundleMagic[:]...)
+		for j := i; j <= last; j++ {
+			if reqs[j].data == nil || reqs[j].to != to {
+				continue
+			}
+			bundle = binary.AppendUvarint(bundle, uint64(len(reqs[j].data)))
+			bundle = append(bundle, reqs[j].data...)
+			if reqs[j].buf != nil {
+				reqs[j].buf.Release()
+			}
+			reqs[j] = sendReq{}
+		}
+		t.write(bundle, to)
+		t.ins.bundledFrames.Add(int64(n))
+	}
+	return bundle
 }
 
 // sendChunks pushes the datagrams of one message to one peer through
@@ -732,9 +814,9 @@ func (t *Transport) readLoop() {
 		t.ins.bytesRecv.Add(int64(n))
 		// Copy out of the reusable read buffer; everything downstream
 		// (reassembly, decoded messages via aliasing readers) owns this
-		// slice.
-		d := rxDatagram{from: from, data: make([]byte, n)}
-		copy(d.data, buf[:n])
+		// slice. The append-based clone skips zeroing memory it is
+		// about to overwrite.
+		d := rxDatagram{from: from, data: bytes.Clone(buf[:n])}
 		if nw == 0 {
 			envs = t.decodeInto(envs[:0], reasm, d)
 			t.d.doEnvBatch(t, envs)
@@ -783,9 +865,31 @@ func (t *Transport) decodeLoop(w *decodeWorker) {
 }
 
 // decodeInto reassembles and decodes one datagram, appending the
-// resulting envelope (if the datagram completed a message) to envs.
+// envelopes its frames complete to envs. A bundle's framing is checked
+// whole before any frame is used: bad framing counts one malformed
+// datagram and delivers nothing. Each frame of a good bundle is then
+// handled exactly as a datagram of its own.
 func (t *Transport) decodeInto(envs []envelope, reasm *reassembler, d rxDatagram) []envelope {
-	data, err := reasm.add(d.from, d.data)
+	if !isBundle(d.data) {
+		return t.decodeFrame(envs, reasm, d.from, d.data)
+	}
+	body := d.data[len(bundleMagic):]
+	if !validBundle(body) {
+		t.ins.dgramsMalformed.Inc()
+		return envs
+	}
+	for len(body) > 0 {
+		frame, rest, _ := nextFrame(body)
+		envs = t.decodeFrame(envs, reasm, d.from, frame)
+		body = rest
+	}
+	return envs
+}
+
+// decodeFrame reassembles and decodes one frame, appending the envelope
+// (if the frame completed a message) to envs.
+func (t *Transport) decodeFrame(envs []envelope, reasm *reassembler, from netip.AddrPort, frame []byte) []envelope {
+	data, err := reasm.add(from, frame)
 	if err != nil {
 		t.ins.dgramsMalformed.Inc()
 		return envs

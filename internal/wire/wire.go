@@ -161,6 +161,11 @@ func (b *Buffer) Release() {
 	}
 }
 
+// Refs reports how many references the buffer holds, for leak audits:
+// a test that keeps one reference of its own can check that every
+// consumer released theirs.
+func (b *Buffer) Refs() int32 { return b.refs.Load() }
+
 // Byte appends one byte.
 func (b *Buffer) Byte(v byte) { b.B = append(b.B, v) }
 
