@@ -29,7 +29,7 @@ func TestConfigSurface(t *testing.T) {
 	var lines []string
 	for _, cfg := range []any{
 		Config{}, cluster.Config{}, core.Config{}, naming.Config{},
-		rtnet.NodeConfig{}, rtnet.PipelineConfig{}, explore.EnumConfig{}, bench.Options{},
+		rtnet.NodeConfig{}, explore.EnumConfig{}, bench.Options{},
 	} {
 		typ := reflect.TypeOf(cfg)
 		for i := 0; i < typ.NumField(); i++ {

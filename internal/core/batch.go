@@ -29,14 +29,14 @@ import (
 // LWGs drain after the next view installs.
 
 // Flush timing: packing is a rate limit, not a dwell. The timer-driven
-// flush fires at max(now, lastFlush + MaxBatchDelay), where lastFlush is
+// flush fires at max(now, lastFlush + maxBatchDelay), where lastFlush is
 // the last data multicast this endpoint put on the HWG. On a quiet HWG
 // that is a zero-delay timer, which the engine runs after every event
 // already queued for the same instant (and the real-time driver after
 // the inbox batch it just drained) — so sends made together, in one
 // handler or in several at one instant, still leave as one frame, while
 // a lone send never waits for companions that are not coming. On a busy
-// HWG, timer-driven flushes are spaced at least MaxBatchDelay apart and
+// HWG, timer-driven flushes are spaced at least maxBatchDelay apart and
 // the batch fills in between.
 
 // enqueueBatch adds one data message to the HWG's send batch, flushing
@@ -44,7 +44,7 @@ import (
 func (e *Endpoint) enqueueBatch(st *hwgState, msg *lwgData) {
 	st.batch = append(st.batch, msg)
 	st.batchBytes += msg.WireSize()
-	if st.batchBytes >= e.cfg.MaxBatchBytes {
+	if st.batchBytes >= e.cfg.batchMaxBytes {
 		e.flushBatch(st)
 		return
 	}
@@ -73,7 +73,7 @@ func (e *Endpoint) flushBatch(st *hwgState) {
 	batch := st.batch
 	bytes := st.batchBytes
 	st.batch, st.batchBytes = nil, 0
-	st.nextFlush = e.clock.Now().Add(e.cfg.MaxBatchDelay)
+	st.nextFlush = e.clock.Now().Add(e.cfg.batchMaxDelay)
 	for _, msg := range batch {
 		e.traceSend(msg)
 	}

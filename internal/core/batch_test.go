@@ -18,8 +18,8 @@ import (
 // itself forces.
 func batchCfg() Config {
 	c := testCfg()
-	c.MaxBatchDelay = 5 * time.Second
-	c.MaxBatchBytes = 1 << 20
+	c.batchMaxDelay = 5 * time.Second
+	c.batchMaxBytes = 1 << 20
 	return c
 }
 
@@ -40,7 +40,7 @@ func batchWorld(t *testing.T, n int, cfg Config) *cWorld {
 
 // primeHWG has pid send "p" on lwg and lets it leave. The HWG is quiet,
 // so "p" flushes at the end of the instant; the flush arms the rate
-// limit, and the next send on the HWG parks for MaxBatchDelay.
+// limit, and the next send on the HWG parks for the batch delay.
 func (w *cWorld) primeHWG(pid ids.ProcessID, lwg ids.LWGID) {
 	w.t.Helper()
 	if err := w.eps[pid].Send(lwg, []byte("p")); err != nil {
@@ -145,12 +145,12 @@ func TestBatchPendingAcrossJoinReconfig(t *testing.T) {
 }
 
 // TestBatchFIFOAcrossBatches drives enough traffic through a small
-// MaxBatchBytes that one sender's burst spans several size-flushed
+// batch size limit that one sender's burst spans several size-flushed
 // batches (plus a timer-flushed tail) and checks per-sender FIFO order
 // is preserved within and across the batch boundaries.
 func TestBatchFIFOAcrossBatches(t *testing.T) {
 	cfg := testCfg()
-	cfg.MaxBatchBytes = 100 // ~3 messages per batch
+	cfg.batchMaxBytes = 100 // ~3 messages per batch
 	w := batchWorld(t, 3, cfg)
 
 	const n = 20
@@ -183,7 +183,7 @@ func TestBatchFIFOAcrossBatches(t *testing.T) {
 // on), and each sender's messages stay in send order.
 func TestBatchTotalOrderAcrossBatches(t *testing.T) {
 	cfg := testCfg()
-	cfg.MaxBatchBytes = 100
+	cfg.batchMaxBytes = 100
 	w := newCWorld(t, 4, []ids.ProcessID{0}, cfg)
 	for _, p := range []ids.ProcessID{1, 2, 3} {
 		if err := w.eps[p].Join("a"); err != nil {
@@ -260,7 +260,7 @@ func (w *cWorld) sendTimes(data ...string) []sim.Time {
 // TestBatchQuietSendNoDwell: a lone send on a HWG with no data traffic
 // leaves at the instant it is made and is delivered after exactly the
 // bus, propagation and receive-CPU cost of its one frame. A 5 s
-// MaxBatchDelay makes any dwell unmistakable.
+// batch delay makes any dwell unmistakable.
 func TestBatchQuietSendNoDwell(t *testing.T) {
 	w := batchWorld(t, 3, batchCfg())
 	before, t0 := w.nw.Stats(), w.s.Now()
@@ -335,11 +335,11 @@ func TestBatchPacksSendsMadeTogether(t *testing.T) {
 }
 
 // TestBatchRateLimitUnderLoad: under a send every 100 µs, timer-driven
-// flushes are spaced at least MaxBatchDelay apart, the batch fills in
-// between, and no payload waits longer than MaxBatchDelay.
+// flushes are spaced at least maxBatchDelay apart, the batch fills in
+// between, and no payload waits longer than maxBatchDelay.
 func TestBatchRateLimitUnderLoad(t *testing.T) {
 	cfg := testCfg()
-	cfg.MaxBatchBytes = 1 << 20 // no size flushes
+	cfg.batchMaxBytes = 1 << 20 // no size flushes
 	w := batchWorld(t, 3, cfg)
 	const n, gap = 200, 100 * time.Microsecond
 	madeAt := make(map[string]sim.Time, n)
@@ -360,8 +360,8 @@ func TestBatchRateLimitUnderLoad(t *testing.T) {
 	var flushes []sim.Time
 	for d, made := range madeAt {
 		sent := w.sendTimes(d)[0]
-		if wait := sent.Sub(made); wait > cfg.MaxBatchDelay {
-			t.Errorf("%s waited %v in the batch, over MaxBatchDelay %v", d, wait, cfg.MaxBatchDelay)
+		if wait := sent.Sub(made); wait > maxBatchDelay {
+			t.Errorf("%s waited %v in the batch, over maxBatchDelay %v", d, wait, maxBatchDelay)
 		}
 	}
 	for _, e := range w.tracer.Events {
@@ -371,14 +371,14 @@ func TestBatchRateLimitUnderLoad(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(flushes); i++ {
-		if d := flushes[i].Sub(flushes[i-1]); d < cfg.MaxBatchDelay {
-			t.Fatalf("flushes at %v and %v are %v apart, under MaxBatchDelay %v",
-				flushes[i-1], flushes[i], d, cfg.MaxBatchDelay)
+		if d := flushes[i].Sub(flushes[i-1]); d < maxBatchDelay {
+			t.Fatalf("flushes at %v and %v are %v apart, under maxBatchDelay %v",
+				flushes[i-1], flushes[i], d, maxBatchDelay)
 		}
 	}
 	// 20 ms of sends: the first leaves alone, then one flush per
-	// MaxBatchDelay carrying five.
-	if want := int(time.Duration(n)*gap/cfg.MaxBatchDelay) + 1; len(flushes) != want {
+	// maxBatchDelay carrying five.
+	if want := int(time.Duration(n)*gap/maxBatchDelay) + 1; len(flushes) != want {
 		t.Fatalf("%d flushes for %d sends, want %d", len(flushes), n, want)
 	}
 }

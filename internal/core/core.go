@@ -80,19 +80,12 @@ type Config struct {
 	// refreshes its mapping lease in the naming service. Must be well
 	// below naming.Config.MappingTTL.
 	MappingRefreshInterval time.Duration
-	// MaxBatchBytes flushes the per-HWG send batch once the packed
-	// payloads reach this size. Sends from all LWGs mapped on the same
-	// HWG coalesce into one multicast, amortizing per-frame overhead
-	// and per-receiver processing cost across the batch.
-	MaxBatchBytes int
-	// MaxBatchDelay bounds how long a packed payload may wait in the
-	// batch, and is the least spacing between two timer-driven flushes
-	// on one HWG: a send is flushed at max(now, lastFlush +
-	// MaxBatchDelay), lastFlush being this endpoint's last data
-	// multicast on the HWG. A quiet HWG therefore flushes at the end of
-	// the current instant, packing only the sends made together, and a
-	// busy one at most once per MaxBatchDelay.
-	MaxBatchDelay time.Duration
+
+	// batchMaxBytes and batchMaxDelay replace maxBatchBytes and
+	// maxBatchDelay when positive. Only this package's tests set them,
+	// to park a batch behind a long delay or to force size flushes.
+	batchMaxBytes int
+	batchMaxDelay time.Duration
 }
 
 // Timers and bounds of the light-weight group service, sized for the
@@ -118,6 +111,19 @@ const (
 	// sheds the oldest message, counted by core_preinstall_drops_total
 	// and traced as LWGPreInstallDrop so checkers surface the gap.
 	maxPreInstall = 1024
+	// maxBatchBytes flushes the per-HWG send batch once the packed
+	// payloads reach this size. Sends from all LWGs mapped on the same
+	// HWG coalesce into one multicast, amortizing per-frame overhead
+	// and per-receiver processing cost across the batch.
+	maxBatchBytes = 8 * 1024
+	// maxBatchDelay bounds how long a packed payload may wait in the
+	// batch, and is the least spacing between two timer-driven flushes
+	// on one HWG: a send is flushed at max(now, lastFlush +
+	// maxBatchDelay), lastFlush being this endpoint's last data
+	// multicast on the HWG. A quiet HWG therefore flushes at the end of
+	// the current instant, packing only the sends made together, and a
+	// busy one at most once per maxBatchDelay.
+	maxBatchDelay = 500 * time.Microsecond
 )
 
 // DefaultConfig returns timers sized for the simulated testbed. The
@@ -128,9 +134,6 @@ func DefaultConfig() Config {
 		Policy:         policy.DefaultParams(),
 
 		MappingRefreshInterval: 15 * time.Second,
-
-		MaxBatchBytes: 8 * 1024,
-		MaxBatchDelay: 500 * time.Microsecond,
 	}
 }
 
@@ -142,11 +145,11 @@ func (c Config) withDefaults() Config {
 	if c.MappingRefreshInterval <= 0 {
 		c.MappingRefreshInterval = d.MappingRefreshInterval
 	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = d.MaxBatchBytes
+	if c.batchMaxBytes <= 0 {
+		c.batchMaxBytes = maxBatchBytes
 	}
-	if c.MaxBatchDelay <= 0 {
-		c.MaxBatchDelay = d.MaxBatchDelay
+	if c.batchMaxDelay <= 0 {
+		c.batchMaxDelay = maxBatchDelay
 	}
 	return c
 }
@@ -259,13 +262,13 @@ type hwgState struct {
 	emptySince sim.Time
 
 	// batch packs outgoing lwgData from every local LWG mapped on this
-	// HWG into one multicast; flushed by size (Config.MaxBatchBytes),
+	// HWG into one multicast; flushed by size (maxBatchBytes),
 	// by batchTimer, or by any control-message send.
 	batch      []*lwgData
 	batchBytes int
 	batchTimer *sim.Timer
 	// nextFlush is the earliest instant batchTimer may fire: the last
-	// data multicast on this HWG plus Config.MaxBatchDelay; zero (quiet)
+	// data multicast on this HWG plus maxBatchDelay; zero (quiet)
 	// before the first.
 	nextFlush sim.Time
 }

@@ -124,45 +124,6 @@ func (c *Client) Delete(lwg ids.LWGID, view ids.ViewID, ver uint64, cb func([]En
 	}}, cb)
 }
 
-// --- Table 2 compatibility wrappers ---------------------------------------
-
-// Set implements Table 2's ns.set(lwg, hwg): it records a mapping for the
-// group as a whole. The view-aware SetView is preferred; Set synthesizes
-// a per-process pseudo-view so repeated Sets by one process overwrite each
-// other.
-func (c *Client) Set(lwg ids.LWGID, hwg ids.HWGID, done func(bool)) {
-	c.SetView(Entry{
-		LWG:       lwg,
-		View:      ids.ViewID{Coord: c.pid, Seq: 1},
-		HWG:       hwg,
-		Ver:       uint64(c.clock.Now()),
-		Refreshed: int64(c.clock.Now()),
-	}, func(_ []Entry, ok bool) { done(ok) })
-}
-
-// Read implements Table 2's ns.read(lwg): it returns the current mapping
-// for the group. With concurrent live mappings the highest HWG identifier
-// wins, matching the reconciliation rule of Section 6.2.
-func (c *Client) Read(lwg ids.LWGID, cb func(ids.HWGID, bool)) {
-	c.ReadLive(lwg, func(entries []Entry, ok bool) {
-		cb(PreferredHWG(entries), ok && len(entries) > 0)
-	})
-}
-
-// TestSetHWG implements Table 2's ns.testset(lwg, hwg): it establishes
-// the mapping if none exists and returns the winning mapping.
-func (c *Client) TestSetHWG(lwg ids.LWGID, hwg ids.HWGID, cb func(ids.HWGID, bool)) {
-	c.TestSet(Entry{
-		LWG:       lwg,
-		View:      ids.ViewID{Coord: c.pid, Seq: 1},
-		HWG:       hwg,
-		Ver:       uint64(c.clock.Now()),
-		Refreshed: int64(c.clock.Now()),
-	}, func(entries []Entry, ok bool) {
-		cb(PreferredHWG(entries), ok && len(entries) > 0)
-	})
-}
-
 // PreferredHWG returns the heavy-weight group a joiner should use given a
 // set of live mappings: the highest group identifier, the same total
 // order used by mapping reconciliation (Section 6.2).

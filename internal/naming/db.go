@@ -347,12 +347,6 @@ func (db *DB) Conflict(lwg ids.LWGID) bool {
 	return false
 }
 
-// Concurrent reports whether two views of the LWG are concurrent
-// according to the recorded genealogy.
-func (db *DB) Concurrent(lwg ids.LWGID, a, b ids.ViewID) bool {
-	return db.genealogy(lwg).Concurrent(a, b)
-}
-
 // Dump renders the database in the style of the paper's Tables 3 and 4:
 // one line per LWG listing its live view-to-view mappings.
 func (db *DB) Dump() string {

@@ -29,11 +29,10 @@ func FuzzDBMerge(f *testing.F) {
 		// Invariant: no live entry is an ancestor of another entry of
 		// the same LWG.
 		for _, lwg := range db.LWGs() {
-			live := db.Live(lwg)
+			g, live := db.genealogy(lwg), db.Live(lwg)
 			for _, a := range live {
 				for _, b := range live {
-					if a.View != b.View && db.Concurrent(lwg, a.View, b.View) == false &&
-						db.genealogy(lwg).IsAncestor(a.View, b.View) {
+					if a.View != b.View && !g.Concurrent(a.View, b.View) && g.IsAncestor(a.View, b.View) {
 						t.Fatalf("live ancestor survived GC: %v < %v", a.View, b.View)
 					}
 				}

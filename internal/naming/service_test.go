@@ -66,24 +66,24 @@ func TestClientSetRead(t *testing.T) {
 		t.Fatal("SetView did not complete")
 	}
 	var got ids.HWGID
-	w.clients[2].Read("a", func(h ids.HWGID, o bool) {
+	w.clients[2].ReadLive("a", func(entries []Entry, o bool) {
 		if o {
-			got = h
+			got = PreferredHWG(entries)
 		}
 	})
 	w.s.RunFor(time.Second)
 	if got != 7 {
-		t.Fatalf("Read = %v, want 7", got)
+		t.Fatalf("ReadLive maps a onto %v, want 7", got)
 	}
 }
 
 func TestReadUnknownLWG(t *testing.T) {
 	w := newNSWorld(t, 2, []ids.ProcessID{0})
 	called := false
-	w.clients[1].Read("nope", func(h ids.HWGID, o bool) {
+	w.clients[1].ReadLive("nope", func(entries []Entry, o bool) {
 		called = true
-		if o {
-			t.Errorf("Read of unknown LWG reported ok with hwg %v", h)
+		if o && len(entries) > 0 {
+			t.Errorf("ReadLive of unknown LWG reported mappings %v", entries)
 		}
 	})
 	w.s.RunFor(time.Second)
@@ -97,14 +97,14 @@ func TestTestSetAtomicity(t *testing.T) {
 	// exactly one mapping wins and both observe it.
 	w := newNSWorld(t, 4, []ids.ProcessID{0})
 	var got1, got2 ids.HWGID
-	w.clients[1].TestSetHWG("a", 10, func(h ids.HWGID, ok bool) {
+	w.clients[1].TestSet(Entry{LWG: "a", View: vid(1, 1), HWG: 10, Ver: 1}, func(entries []Entry, ok bool) {
 		if ok {
-			got1 = h
+			got1 = PreferredHWG(entries)
 		}
 	})
-	w.clients[2].TestSetHWG("a", 20, func(h ids.HWGID, ok bool) {
+	w.clients[2].TestSet(Entry{LWG: "a", View: vid(2, 1), HWG: 20, Ver: 1}, func(entries []Entry, ok bool) {
 		if ok {
-			got2 = h
+			got2 = PreferredHWG(entries)
 		}
 	})
 	w.s.RunFor(time.Second)
@@ -134,7 +134,7 @@ func TestAllServersUnreachable(t *testing.T) {
 	w.nw.Crash(0)
 	w.nw.Crash(1)
 	done, ok := false, true
-	w.clients[2].Read("a", func(_ ids.HWGID, o bool) { done, ok = true, o })
+	w.clients[2].ReadLive("a", func(_ []Entry, o bool) { done, ok = true, o })
 	// The client now retries with backoff for several rounds before
 	// giving up, so allow the full retry budget to elapse.
 	w.s.RunFor(10 * time.Second)
@@ -306,28 +306,43 @@ func TestExpireDisabledByDefaultZero(t *testing.T) {
 }
 
 func TestTable2Interface(t *testing.T) {
-	// Experiment E2: the service exports the Table 2 primitives —
-	// ns.set(lwg, hwg), ns.read(lwg) -> hwg, ns.testset(lwg, hwg) -> hwg
-	// — in their asynchronous Go form.
+	// Experiment E2: the service exports Table 2's three primitives —
+	// ns.set, ns.read, ns.testset — in their partitionable,
+	// view-to-view form (§5.2), asynchronously: a mapping names the LWG
+	// view it belongs to, and a read returns every live mapping.
 	type table2 interface {
-		Set(ids.LWGID, ids.HWGID, func(bool))
-		Read(ids.LWGID, func(ids.HWGID, bool))
-		TestSetHWG(ids.LWGID, ids.HWGID, func(ids.HWGID, bool))
+		SetView(Entry, func([]Entry, bool))
+		ReadLive(ids.LWGID, func([]Entry, bool))
+		TestSet(Entry, func([]Entry, bool))
 	}
 	var _ table2 = (*Client)(nil)
 
 	// And they behave per the table.
 	w := newNSWorld(t, 3, []ids.ProcessID{0})
-	w.clients[1].Set("subject", 42, func(ok bool) {
+	answered := 0
+	w.clients[1].SetView(Entry{LWG: "subject", View: vid(1, 1), HWG: 42, Ver: 1}, func(_ []Entry, ok bool) {
+		answered++
 		if !ok {
 			t.Error("ns.set failed")
 		}
 	})
 	w.s.RunFor(time.Second)
-	w.clients[2].Read("subject", func(h ids.HWGID, ok bool) {
-		if !ok || h != 42 {
+	w.clients[2].ReadLive("subject", func(entries []Entry, ok bool) {
+		answered++
+		if h := PreferredHWG(entries); !ok || h != 42 {
 			t.Errorf("ns.read = %v/%v, want 42/true", h, ok)
 		}
 	})
 	w.s.RunFor(time.Second)
+	// testset of another view finds the mapping and installs nothing.
+	w.clients[2].TestSet(Entry{LWG: "subject", View: vid(2, 1), HWG: 7, Ver: 1}, func(entries []Entry, ok bool) {
+		answered++
+		if !ok || len(entries) != 1 || entries[0].HWG != 42 {
+			t.Errorf("ns.testset = %v/%v, want the one mapping onto 42", entries, ok)
+		}
+	})
+	w.s.RunFor(time.Second)
+	if answered != 3 {
+		t.Fatalf("%d of 3 primitives answered", answered)
+	}
 }

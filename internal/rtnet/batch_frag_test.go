@@ -92,15 +92,11 @@ func TestEnvelopeCodecSurvivesFragmentation(t *testing.T) {
 	}
 }
 
-// TestUDPBatchCrossesFragmentation packs several large LWG sends into
-// one batch whose wire size exceeds the UDP fragmentation threshold and
+// TestUDPBatchCrossesFragmentation packs several LWG sends into one
+// batch whose wire size exceeds the UDP fragmentation threshold and
 // checks every payload arrives intact and in FIFO order over real
 // sockets.
 func TestUDPBatchCrossesFragmentation(t *testing.T) {
-	svc := core.Config{
-		MaxBatchBytes: 256 * 1024, // flush by timer, not size
-		MaxBatchDelay: 25 * time.Millisecond,
-	}
 	reg := metrics.NewRegistry() // the sender's: counts its batch flushes
 	nodes := make([]*Node, 2)
 	cols := make([]*collector, 2)
@@ -110,7 +106,6 @@ func TestUDPBatchCrossesFragmentation(t *testing.T) {
 			PID:         ids.ProcessID(i),
 			Listen:      "127.0.0.1:0",
 			NameServers: []ids.ProcessID{0},
-			Service:     svc,
 			Upcalls:     cols[i],
 			Seed:        int64(i + 1),
 		}
@@ -149,14 +144,18 @@ func TestUDPBatchCrossesFragmentation(t *testing.T) {
 		return ok && v.Members.Equal(ids.NewMembers(0, 1))
 	}, "membership did not converge")
 
-	// Six ~10 KiB sends in one driver turn: they coalesce into a single
-	// batch of ~60 KiB, which must cross the 32 KiB fragment boundary.
-	// The batch flushes at the end of the turn, whatever the HWG's
-	// flush history: the sends are made together.
+	// Six sends in one driver turn: five of ~1 KiB stay under the 8 KiB
+	// size flush and park in the batch, and a ~40 KiB sixth pushes it
+	// over, so all six leave in one size-flushed batch that must cross
+	// the 32 KiB fragment boundary.
 	const n = 6
 	var want []string
 	for i := 0; i < n; i++ {
-		want = append(want, fmt.Sprintf("%d|%s", i, strings.Repeat(string(rune('a'+i)), 10*1024)))
+		size := 1024
+		if i == n-1 {
+			size = 40 * 1024
+		}
+		want = append(want, fmt.Sprintf("%d|%s", i, strings.Repeat(string(rune('a'+i)), size)))
 	}
 	flushes := reg.Counter("lwg_batch_flushes_total")
 	msgs := reg.Counter("lwg_batched_msgs_total")

@@ -9,7 +9,7 @@
 // upcalls) runs on the driver's single loop goroutine — the same
 // single-threaded discipline the simulator enforces. External goroutines
 // (the transport's decode workers, application code) enter the loop
-// through Driver.Do/DoBatch/Call; the data plane around the loop
+// through Driver.Do/Call; the data plane around the loop
 // (socket reads, reassembly, envelope decoding, socket writes) runs on
 // its own goroutines (see the package comment in transport.go).
 package rtnet
@@ -78,24 +78,6 @@ func (d *Driver) Sim() *sim.Sim { return d.s }
 func (d *Driver) Do(fn func()) {
 	d.mu.Lock()
 	d.inbox = append(d.inbox, task{fn: fn})
-	d.mu.Unlock()
-	d.wakeup()
-}
-
-// DoBatch schedules every fn to run on the loop goroutine, in order,
-// under a single inbox lock acquisition and a single wakeup — the
-// batched form of Do for producers that accumulate work off-loop.
-// Functions from one DoBatch run in slice order; batches from different
-// goroutines interleave at batch granularity, and the FIFO guarantee of
-// Do is preserved across both entry points.
-func (d *Driver) DoBatch(fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	d.mu.Lock()
-	for _, fn := range fns {
-		d.inbox = append(d.inbox, task{fn: fn})
-	}
 	d.mu.Unlock()
 	d.wakeup()
 }

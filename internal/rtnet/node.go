@@ -43,10 +43,6 @@ type NodeConfig struct {
 	// (transport, vsync, core, naming); nil disables it at zero
 	// hot-path cost.
 	Metrics *metrics.Registry
-	// Pipeline selects the transport's data plane: the zero value is
-	// the parallel one (decode pool, send rings, writer goroutines),
-	// Pipeline.Inline the single-goroutine path.
-	Pipeline PipelineConfig
 	// TraceSampleEvery gates the wire-level trace context on
 	// high-volume traffic (data/ack/heartbeat/nack envelopes): every Nth
 	// such send carries the sender's causal context; control traffic
@@ -101,7 +97,6 @@ func Listen(cfg NodeConfig) (*Node, error) {
 	// Fault decisions derive from the node seed (offset so they are not
 	// correlated with the protocol engine's own randomness).
 	n.tr.SeedFaults(cfg.Seed ^ 0x5bd1e995)
-	n.tr.pc = cfg.Pipeline
 	n.tr.Instrument(cfg.Metrics)
 	// Wire trace contexts ride only on instrumented nodes: stamping costs
 	// a wall-clock read and a few bytes per sampled envelope, and without

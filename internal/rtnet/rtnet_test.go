@@ -47,13 +47,8 @@ func (c *collector) dataCopy() []string {
 }
 
 // startCluster boots n nodes over real UDP on loopback with ephemeral
-// ports, on the default (pipelined) data plane.
+// ports.
 func startCluster(t *testing.T, n int, servers []ids.ProcessID) ([]*Node, []*collector) {
-	t.Helper()
-	return startClusterOn(t, n, servers, PipelineConfig{})
-}
-
-func startClusterOn(t *testing.T, n int, servers []ids.ProcessID, pc PipelineConfig) ([]*Node, []*collector) {
 	t.Helper()
 	nodes := make([]*Node, n)
 	cols := make([]*collector, n)
@@ -64,7 +59,6 @@ func startClusterOn(t *testing.T, n int, servers []ids.ProcessID, pc PipelineCon
 			Listen:      "127.0.0.1:0",
 			NameServers: servers,
 			Upcalls:     cols[i],
-			Pipeline:    pc,
 			Seed:        int64(i + 1),
 		})
 		if err != nil {
@@ -234,28 +228,39 @@ func TestUDPPartitionAndHeal(t *testing.T) {
 }
 
 // TestDriverDoFromManyGoroutines hammers Do concurrently; the loop must
-// serialize everything without races (run with -race).
+// serialize everything without races (run with -race) and run each
+// submitter's functions in the order it submitted them.
 func TestDriverDoFromManyGoroutines(t *testing.T) {
 	d := NewDriver(1)
 	d.Start()
 	defer d.Close()
-	counter := 0 // loop-confined
+	const submitters, perSubmitter = 8, 200
+	ran := make([][]int, submitters) // loop-confined
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < submitters; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				d.Do(func() { counter++ })
+			for i := 0; i < perSubmitter; i++ {
+				d.Do(func() { ran[g] = append(ran[g], i) })
 			}
 		}()
 	}
 	wg.Wait()
-	got := 0
-	d.Call(func() { got = counter })
-	if got != 8*200 {
-		t.Fatalf("counter = %d, want %d", got, 8*200)
-	}
+	d.Call(func() {
+		for g, seqs := range ran {
+			if len(seqs) != perSubmitter {
+				t.Errorf("submitter %d: %d of %d functions ran", g, len(seqs), perSubmitter)
+				continue
+			}
+			for i, v := range seqs {
+				if v != i {
+					t.Errorf("submitter %d: position %d ran its function %d (FIFO violated)", g, i, v)
+					break
+				}
+			}
+		}
+	})
 }
 
 // TestDriverTimerFiresInRealTime checks wall-clock timer semantics.

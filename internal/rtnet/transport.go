@@ -27,9 +27,9 @@
 //     (worker channel FIFO → batch order → inbox FIFO).
 //   - Every protocol decision that consumes randomness — the fault
 //     table's drop/duplicate/delay plan — runs on the loop, in the
-//     same order as the historical inline path, so a seed replays the
-//     identical fault schedule and lwgcheck -rtnet reproducers stay
-//     deterministic. Writers only move already-decided bytes.
+//     order the protocol sends, so a seed replays the identical fault
+//     schedule and lwgcheck -rtnet reproducers stay deterministic.
+//     Writers only move already-decided bytes.
 //   - Encoded single-datagram messages fan out to N peers as one
 //     reference-counted wire.Buffer (the fragment header is written in
 //     place); the last writer to finish releases it to the pool.
@@ -100,15 +100,6 @@ const (
 	envFlagMask      = envFlagTC | envFlagUni
 )
 
-// PipelineConfig selects between the transport's two data planes. The
-// zero value is the pipeline described above.
-type PipelineConfig struct {
-	// Inline runs the whole data plane on the reader and loop
-	// goroutines: envelopes decode on the reader and enter the loop one
-	// at a time, and WriteToUDP runs synchronously on the protocol loop.
-	Inline bool
-}
-
 const (
 	// maxDecodeWorkers caps the decode pool, which is otherwise one
 	// worker per CPU. Datagrams partition across workers by source
@@ -125,7 +116,7 @@ const (
 	// backpressure instead of silently blocking the protocol loop.
 	sendRingSize = 4096
 	// envBatch caps how many decoded envelopes one worker submits per
-	// DoBatch: large enough to amortize the inbox lock and wakeup over
+	// doEnvBatch: large enough to amortize the inbox lock and wakeup over
 	// a burst, small enough to keep delivery latency flat.
 	envBatch = 64
 	// rxQueueLen is the per-worker datagram queue. When a worker's
@@ -209,15 +200,12 @@ type Transport struct {
 	inTC   wire.TraceCtx
 	inTCOK bool
 
-	// pc configures the parallel data plane. Set before Start.
-	pc PipelineConfig
-
 	// workers is the decode pool; sendQs are the send rings, one per
 	// writer, sharded by destination so each peer's datagrams stay FIFO
 	// (concurrent writers draining one shared ring would reorder
 	// adjacent datagrams to the same peer on every send, which the
 	// protocols tolerate as rare transport misbehaviour, not as the
-	// steady state). Both are nil on the inline path.
+	// steady state). Both are built by Start.
 	workers []*decodeWorker
 	sendQs  []chan sendReq
 
@@ -389,26 +377,24 @@ func (t *Transport) setPeers(peers map[ids.ProcessID]*net.UDPAddr) {
 // netsim.Mux handler). Must be called before Start.
 func (t *Transport) SetHandler(h netsim.Handler) { t.handler = h }
 
-// Start launches the data plane: the UDP reader, and — unless the
-// pipeline is disabled — the decode pool and the send-ring writers.
+// Start launches the data plane: the send-ring writers, the decode
+// pool and the UDP reader.
 func (t *Transport) Start() {
-	if !t.pc.Inline {
-		t.sendQs = make([]chan sendReq, sendWriters)
-		for i := range t.sendQs {
-			t.sendQs[i] = make(chan sendReq, sendRingSize/sendWriters)
-		}
-		for _, q := range t.sendQs {
-			t.writerWG.Add(1)
-			go t.writeLoop(q)
-		}
-		t.workers = make([]*decodeWorker, min(maxDecodeWorkers, runtime.NumCPU()))
-		for i := range t.workers {
-			t.workers[i] = &decodeWorker{ch: make(chan rxDatagram, rxQueueLen)}
-		}
-		for _, w := range t.workers {
-			t.decodeWG.Add(1)
-			go t.decodeLoop(w)
-		}
+	t.sendQs = make([]chan sendReq, sendWriters)
+	for i := range t.sendQs {
+		t.sendQs[i] = make(chan sendReq, sendRingSize/sendWriters)
+	}
+	for _, q := range t.sendQs {
+		t.writerWG.Add(1)
+		go t.writeLoop(q)
+	}
+	t.workers = make([]*decodeWorker, min(maxDecodeWorkers, runtime.NumCPU()))
+	for i := range t.workers {
+		t.workers[i] = &decodeWorker{ch: make(chan rxDatagram, rxQueueLen)}
+	}
+	for _, w := range t.workers {
+		t.decodeWG.Add(1)
+		go t.decodeLoop(w)
 	}
 	t.readerWG.Add(1)
 	go t.readLoop()
@@ -476,16 +462,11 @@ func (t *Transport) SetFaults(fs *faults.Spec) { t.faults.install(fs) }
 // from any goroutine.
 func (t *Transport) SetLinkFault(to ids.ProcessID, r *faults.Rule) { t.faults.setLink(to, r) }
 
-// dispatch hands one frame to the wire. Pipeline: non-blocking
-// enqueue on the destination's send-ring shard, dropping (with the
-// overflow counter) when that writer has fallen a full ring behind.
-// Inline: synchronous write on the caller's goroutine. Takes ownership
-// of the request's buffer reference in both cases.
+// dispatch hands one frame to the wire: a non-blocking enqueue on the
+// destination's send-ring shard, dropping (with the overflow counter)
+// when that writer has fallen a full ring behind. Takes ownership of
+// the request's buffer reference.
 func (t *Transport) dispatch(req sendReq) {
-	if t.sendQs == nil {
-		t.writeOut(req)
-		return
-	}
 	q := t.sendQs[apHash(req.to)%uint32(len(t.sendQs))]
 	select {
 	case q <- req:
@@ -495,15 +476,6 @@ func (t *Transport) dispatch(req sendReq) {
 		if req.buf != nil {
 			req.buf.Release()
 		}
-	}
-}
-
-// writeOut writes one frame as its own datagram and releases the
-// request's buffer reference.
-func (t *Transport) writeOut(req sendReq) {
-	t.write(req.data, req.to)
-	if req.buf != nil {
-		req.buf.Release()
 	}
 }
 
@@ -576,7 +548,10 @@ func (t *Transport) writeBurst(reqs []sendReq, bundle []byte) []byte {
 			size, last, n = size+s, j, n+1
 		}
 		if n == 1 {
-			t.writeOut(reqs[i])
+			t.write(reqs[i].data, to)
+			if reqs[i].buf != nil {
+				reqs[i].buf.Release()
+			}
 			reqs[i] = sendReq{}
 			continue
 		}
@@ -779,24 +754,14 @@ func apHash(ap netip.AddrPort) uint32 {
 
 func (t *Transport) readLoop() {
 	defer t.readerWG.Done()
-	if len(t.workers) > 0 {
-		// Closing the worker channels (after the final sends below)
-		// lets the workers drain and exit; they never close their own
-		// channel, so the blocking handoff can't deadlock.
-		defer func() {
-			for _, w := range t.workers {
-				close(w.ch)
-			}
-		}()
-	}
-	// The inline data plane has no workers: the reader reassembles and
-	// decodes itself and submits each envelope as a batch of one.
-	var reasm *reassembler
-	var envs []envelope
-	if len(t.workers) == 0 {
-		reasm = newReassembler()
-		envs = make([]envelope, 0, 1)
-	}
+	// Closing the worker channels (after the final sends below) lets the
+	// workers drain and exit; they never close their own channel, so the
+	// blocking handoff can't deadlock.
+	defer func() {
+		for _, w := range t.workers {
+			close(w.ch)
+		}
+	}()
 	buf := make([]byte, 256*1024)
 	nw := uint32(len(t.workers))
 	for {
@@ -813,17 +778,11 @@ func (t *Transport) readLoop() {
 		t.ins.dgramsRecv.Inc()
 		t.ins.bytesRecv.Add(int64(n))
 		// Copy out of the reusable read buffer; everything downstream
-		// (reassembly, decoded messages via aliasing readers) owns this
-		// slice. The append-based clone skips zeroing memory it is
-		// about to overwrite.
-		d := rxDatagram{from: from, data: bytes.Clone(buf[:n])}
-		if nw == 0 {
-			envs = t.decodeInto(envs[:0], reasm, d)
-			t.d.doEnvBatch(t, envs)
-			continue
-		}
+		// (reassembly, decoded messages via aliasing readers) owns the
+		// copy. The append-based clone skips zeroing memory it is about
+		// to overwrite.
 		w := t.workers[apHash(from)%nw]
-		w.ch <- d
+		w.ch <- rxDatagram{from: from, data: bytes.Clone(buf[:n])}
 		t.ins.decodeQueueDepth.Set(int64(len(w.ch)))
 	}
 }
@@ -909,7 +868,6 @@ func (t *Transport) decodeFrame(envs []envelope, reasm *reassembler, from netip.
 // served by the /debug/rtnet endpoint. Queue lengths are sampled
 // racily, which is fine for observability.
 type PipelineStats struct {
-	Inline          bool  `json:"inline"`
 	DecodeWorkers   int   `json:"decode_workers"`
 	SendWriters     int   `json:"send_writers"`
 	SendRingCap     int   `json:"send_ring_cap"`
@@ -921,7 +879,6 @@ type PipelineStats struct {
 // depths. Call after Start.
 func (t *Transport) PipelineStats() PipelineStats {
 	st := PipelineStats{
-		Inline:        t.pc.Inline,
 		DecodeWorkers: len(t.workers),
 		SendWriters:   len(t.sendQs),
 	}
