@@ -18,7 +18,7 @@ import (
 	"plwg/internal/rtnet"
 )
 
-var updateSurface = flag.Bool("update", false, "rewrite testdata/config_surface.golden")
+var update = flag.Bool("update", false, "rewrite the goldens: testdata/config_surface.golden and EXPERIMENTS.md's Figure 2 tables")
 
 // TestConfigSurface makes "zero new options" something a machine sees:
 // every exported field of the configuration structs — each one a value a
@@ -42,7 +42,7 @@ func TestConfigSurface(t *testing.T) {
 	got := []byte(strings.Join(lines, "\n") + "\n")
 
 	const path = "testdata/config_surface.golden"
-	if *updateSurface {
+	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

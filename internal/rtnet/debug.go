@@ -15,8 +15,8 @@ import (
 //
 //	/metrics        metrics registry in a text exposition format
 //	/debug/lwg      JSON snapshot of group membership and mappings
-//	/debug/rtnet    JSON snapshot of the transport's data-plane pipeline
-//	                (worker/writer counts, ring and queue depths)
+//	/debug/rtnet    JSON snapshot of the transport's data plane (writer
+//	                count, send-ring and driver-inbox depths)
 //	/debug/trace    the trace ring as JSONL (requires a *trace.Ring or
 //	                other Snapshotter as the node's Tracer)
 //	/debug/pprof/   the standard Go profiling endpoints
@@ -94,7 +94,9 @@ type DebugLWGEntry struct {
 
 func (n *Node) serveLWG(w http.ResponseWriter, _ *http.Request) {
 	var out DebugLWG
+	ran := false
 	n.Do(func(ep *core.Endpoint) {
+		ran = true
 		out.PID = ep.PID()
 		for _, lwg := range ep.LWGs() {
 			e := DebugLWGEntry{LWG: string(lwg), Coord: ep.IsLWGCoordinator(lwg)}
@@ -113,6 +115,10 @@ func (n *Node) serveLWG(w http.ResponseWriter, _ *http.Request) {
 			out.HWGs = append(out.HWGs, h.String())
 		}
 	})
+	if !ran {
+		http.Error(w, "node closed", http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

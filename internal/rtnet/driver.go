@@ -8,10 +8,10 @@
 // Concurrency model: everything protocol-related (stacks, endpoints,
 // upcalls) runs on the driver's single loop goroutine — the same
 // single-threaded discipline the simulator enforces. External goroutines
-// (the transport's decode workers, application code) enter the loop
-// through Driver.Do/Call; the data plane around the loop
-// (socket reads, reassembly, envelope decoding, socket writes) runs on
-// its own goroutines (see the package comment in transport.go).
+// (the transport's reader, application code) enter the loop through
+// Driver.Do/Call; the data plane around the loop (socket reads,
+// reassembly, envelope decoding, socket writes) runs on its own
+// goroutines (see the package comment in transport.go).
 package rtnet
 
 import (
@@ -22,8 +22,8 @@ import (
 )
 
 // task is one unit of injected loop work. Application calls carry a
-// closure in fn; decoded envelopes from the transport's decode workers
-// ride inline in env instead (tr non-nil), so the per-packet hot path
+// closure in fn; decoded envelopes from the transport's reader ride
+// inline in env instead (tr non-nil), so the per-packet hot path
 // allocates no closure and the envelope value travels by copy into the
 // inbox slice.
 type task struct {
@@ -74,18 +74,24 @@ func (d *Driver) Sim() *sim.Sim { return d.s }
 
 // Do schedules fn to run on the loop goroutine. It is safe to call from
 // any goroutine; fn runs at (approximately) the current wall-clock
-// instant of virtual time. Do never blocks on fn.
+// instant of virtual time. Do never blocks on fn. Once the driver is
+// closed no loop will drain the inbox, so Do drops fn.
 func (d *Driver) Do(fn func()) {
+	select {
+	case <-d.done:
+		return
+	default:
+	}
 	d.mu.Lock()
 	d.inbox = append(d.inbox, task{fn: fn})
 	d.mu.Unlock()
 	d.wakeup()
 }
 
-// doEnvBatch injects a batch of decoded envelopes for delivery on the
-// loop: one lock acquisition and one wakeup for the whole burst. The
-// envelope values are copied into the inbox, so the caller may reuse
-// envs immediately.
+// doEnvBatch injects the decoded envelopes of one datagram for delivery
+// on the loop: one lock acquisition and one wakeup for the whole
+// datagram. The envelope values are copied into the inbox, so the
+// caller may reuse envs immediately.
 func (d *Driver) doEnvBatch(t *Transport, envs []envelope) {
 	if len(envs) == 0 {
 		return
@@ -98,6 +104,14 @@ func (d *Driver) doEnvBatch(t *Transport, envs []envelope) {
 	d.wakeup()
 }
 
+// inboxLen is the number of tasks waiting for the loop (sampled for
+// observability).
+func (d *Driver) inboxLen() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.inbox)
+}
+
 func (d *Driver) wakeup() {
 	select {
 	case d.wake <- struct{}{}:
@@ -107,13 +121,18 @@ func (d *Driver) wakeup() {
 
 // Call runs fn on the loop goroutine and waits for it to finish — the
 // synchronous variant of Do, for application code that needs a result.
+// Once the driver is closed Call returns without running fn; a caller
+// that must know sets a flag in fn. fn never runs after Call returns.
 func (d *Driver) Call(fn func()) {
 	ch := make(chan struct{})
 	d.Do(func() {
 		defer close(ch)
 		fn()
 	})
-	<-ch
+	select {
+	case <-ch:
+	case <-d.done:
+	}
 }
 
 // Start launches the loop goroutine.

@@ -112,12 +112,12 @@ func FuzzDatagramDecode(f *testing.F) {
 			re := newReassembler()
 			var envs []envelope
 			for _, fr := range frames {
-				envs = tr.decodeInto(envs, re, rxDatagram{from: from, data: fr})
+				envs = tr.decodeInto(envs, re, from, fr)
 			}
 			return envs, reg.Totals()["rtnet_datagrams_malformed_total"]
 		}
 		wiretest.AllocBound(t, raw, func() {
-			(&Transport{}).decodeInto(nil, newReassembler(), rxDatagram{from: from, data: raw})
+			(&Transport{}).decodeInto(nil, newReassembler(), from, raw)
 		})
 		envs, bad := decode(raw)
 		if !isBundle(raw) {

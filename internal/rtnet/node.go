@@ -165,7 +165,7 @@ func (n *Node) Registry() *metrics.Registry { return n.cfg.Metrics }
 
 // Do runs fn against the endpoint on the protocol goroutine and waits
 // for it (the only safe way to issue Join/Leave/Send or read views from
-// application code).
+// application code). After Close it returns at once without running fn.
 func (n *Node) Do(fn func(ep *core.Endpoint)) {
 	n.d.Call(func() { fn(n.ep) })
 }
@@ -181,9 +181,9 @@ func (n *Node) SetFaults(fs *faults.Spec) { n.tr.SetFaults(fs) }
 func (n *Node) SetLinkFault(to ids.ProcessID, r *faults.Rule) { n.tr.SetLinkFault(to, r) }
 
 // NamingDBSnapshot returns a copy of this node's naming-server database,
-// or nil when the node hosts no server. The copy is taken on the protocol
-// loop, so it is a consistent point-in-time snapshot that the caller may
-// read from any goroutine afterwards.
+// or nil when the node hosts no server or is closed. The copy is taken
+// on the protocol loop, so it is a consistent point-in-time snapshot
+// that the caller may read from any goroutine afterwards.
 func (n *Node) NamingDBSnapshot() *naming.DB {
 	var db *naming.DB
 	n.d.Call(func() {

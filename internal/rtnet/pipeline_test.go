@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -75,9 +76,9 @@ func TestSendRingOverflowBackpressure(t *testing.T) {
 
 // TestPipelineCloseMidFlight closes clusters while senders have just
 // stopped and datagrams — including multi-fragment messages — are still
-// in flight through the decode pool, the inbox, and the send rings. Run
-// under -race this exercises the shutdown ordering: reader exit closes
-// the worker channels, workers drain, writers stop, rings drain.
+// in flight through the reader's reassembler, the inbox, and the send
+// rings. Run under -race this exercises the shutdown ordering: the
+// reader exits, writers stop, rings drain.
 func TestPipelineCloseMidFlight(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		nodes, cols := startCluster(t, 3, []ids.ProcessID{0})
@@ -114,8 +115,8 @@ func TestPipelineCloseMidFlight(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		close(stop)
 		wg.Wait()
-		// Close immediately: the rings, worker queues and inbox still
-		// hold in-flight datagrams from the burst that just stopped.
+		// Close immediately: the rings, the socket buffers and the inbox
+		// still hold in-flight datagrams from the burst that just stopped.
 		for _, n := range nodes {
 			n.Close()
 		}
@@ -135,9 +136,9 @@ func TestDataPlaneDeliversExactlyOnceFIFO(t *testing.T) {
 	nodes, cols := startCluster(t, n, []ids.ProcessID{0})
 	for _, node := range nodes {
 		st := node.tr.PipelineStats()
-		if st.DecodeWorkers < 1 || st.SendWriters != sendWriters {
-			t.Fatalf("transport runs %d decode workers and %d writers, want at least 1 and %d: %+v",
-				st.DecodeWorkers, st.SendWriters, sendWriters, st)
+		if st.SendWriters != sendWriters || len(st.DecodeQueueLens) != 1 {
+			t.Fatalf("transport runs %d writers and reports %d receive queues, want %d and 1 (the driver inbox): %+v",
+				st.SendWriters, len(st.DecodeQueueLens), sendWriters, st)
 		}
 		node.Do(func(ep *core.Endpoint) { _ = ep.Join("in") })
 	}
@@ -479,5 +480,48 @@ func TestSendRefsReleasedOnClose(t *testing.T) {
 			t.Fatalf("round %d: %d references outlive Close", round, r-1)
 		}
 		b.Release()
+	}
+}
+
+// TestNoGoroutineOutlivesClose pins the shutdown order — the reader
+// exits, the writers exit, the rings drain — by counting goroutines: once
+// every node of a cluster that carried fragmenting traffic is closed, the
+// process is back to the goroutines it had before the first Listen.
+func TestNoGoroutineOutlivesClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nodes, cols := startCluster(t, 3, []ids.ProcessID{0})
+	for _, n := range nodes {
+		n.Do(func(ep *core.Endpoint) { _ = ep.Join("gc") })
+	}
+	eventually(t, 15*time.Second, func() bool {
+		v, ok := cols[0].lastView()
+		return ok && v.Members.Equal(ids.NewMembers(0, 1, 2))
+	}, "membership did not converge")
+	big := make([]byte, 3*fragPayload/2) // forces fragmentation
+	for _, n := range nodes {
+		n.Do(func(ep *core.Endpoint) {
+			_ = ep.Send("gc", big)
+			_ = ep.Send("gc", []byte("small"))
+		})
+	}
+	eventually(t, 15*time.Second, func() bool {
+		for _, c := range cols {
+			if len(c.dataCopy()) < 2*len(nodes) {
+				return false
+			}
+		}
+		return true
+	}, "traffic was not delivered")
+	for _, n := range nodes {
+		n.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5 s after Close, %d before Listen:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -2,6 +2,9 @@ package rtnet
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -286,5 +289,56 @@ func TestDriverTimerFiresInRealTime(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never fired")
+	}
+}
+
+// TestCallAfterCloseReturns: once the loop has exited nothing drains the
+// inbox, so Driver.Call, Node.Do and what is built on them — the naming
+// snapshot and the /debug/lwg handler — return without running their
+// function instead of waiting forever.
+func TestCallAfterCloseReturns(t *testing.T) {
+	d := NewDriver(1)
+	d.Start()
+	d.Close()
+	nodes, _ := startCluster(t, 1, []ids.ProcessID{0})
+	n := nodes[0]
+	n.Close()
+
+	calls := map[string]func(){
+		"Driver.Call": func() { d.Call(func() { t.Error("Driver.Call ran its function after Close") }) },
+		"Node.Do":     func() { n.Do(func(*core.Endpoint) { t.Error("Node.Do ran its function after Close") }) },
+		"NamingDBSnapshot": func() {
+			if db := n.NamingDBSnapshot(); db != nil {
+				t.Error("NamingDBSnapshot after Close returned a database")
+			}
+		},
+		"/debug/lwg": func() {
+			rec := httptest.NewRecorder()
+			n.DebugHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/lwg", nil))
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Errorf("/debug/lwg after Close: status %d, want %d", rec.Code, http.StatusServiceUnavailable)
+			}
+		},
+	}
+	returned := make(chan string, len(calls))
+	for name, call := range calls {
+		go func() {
+			call()
+			returned <- name
+		}()
+	}
+	deadline := time.After(time.Second)
+	for len(calls) > 0 {
+		select {
+		case name := <-returned:
+			delete(calls, name)
+		case <-deadline:
+			var blocked []string
+			for name := range calls {
+				blocked = append(blocked, name)
+			}
+			sort.Strings(blocked)
+			t.Fatalf("still blocked 1 s after Close: %v", blocked)
+		}
 	}
 }

@@ -1,30 +1,29 @@
-// The transport's data plane is pipelined across goroutines while the
-// protocol itself stays on the single-threaded driver loop:
+// The transport's data plane runs around the single-threaded driver
+// loop, which keeps the protocol itself:
 //
-//	       UDP socket
-//	           │ ReadFromUDPAddrPort (reader goroutine: syscall only)
-//	           ▼
-//	hash(source) % W  ──────────────► decode worker pool (W goroutines)
-//	                                  reassembly + decodeEnvelope,
-//	                                  batch into []envelope
-//	           ┌──────────────────────────┘ Driver.doEnvBatch
-//	           ▼
-//	    driver loop (single goroutine)
-//	    subscription filter, partition filter, handler upcalls,
-//	    protocol stacks, fault-injection decisions, encode + fragment
-//	           │ sendChunks → send rings (bounded, sharded by peer)
-//	           ▼
-//	    writer goroutines: take what is queued, bundle per peer
-//	           │ WriteToUDPAddrPort
-//	           ▼
-//	       UDP socket
+//	   UDP socket
+//	       │ ReadFromUDPAddrPort
+//	       ▼
+//	reader goroutine: copy out of the read buffer, reassembly,
+//	bundle + envelope decode
+//	       │ Driver.doEnvBatch (one submission per datagram)
+//	       ▼
+//	driver loop (single goroutine)
+//	subscription filter, partition filter, handler upcalls,
+//	protocol stacks, fault-injection decisions, encode + fragment
+//	       │ sendChunks → send rings (bounded, sharded by peer)
+//	       ▼
+//	writer goroutines: take what is queued, bundle per peer
+//	       │ WriteToUDPAddrPort
+//	       ▼
+//	   UDP socket
 //
 // Invariants that make this safe:
 //
-//   - Datagrams partition across decode workers by source address, so
-//     all fragments of one message reassemble in one worker's private
-//     reassembler and per-source arrival order is preserved end to end
-//     (worker channel FIFO → batch order → inbox FIFO).
+//   - One goroutine reads and decodes every datagram, so all fragments
+//     of a message reassemble in its one private reassembler, and
+//     per-source arrival order is preserved end to end (socket order →
+//     frame order within a bundle → inbox FIFO).
 //   - Every protocol decision that consumes randomness — the fault
 //     table's drop/duplicate/delay plan — runs on the loop, in the
 //     order the protocol sends, so a seed replays the identical fault
@@ -49,11 +48,14 @@
 //     the frame and counts rtnet_send_ring_overflow_total instead
 //     of blocking the protocol loop. UDP loss is already part of the
 //     model; the vsync NACK machinery repairs it.
+//   - The receive side has no queue of its own: the reader never blocks
+//     on the loop (the driver inbox is unbounded), and while it decodes,
+//     arriving datagrams wait in the socket buffer, the component sized
+//     to absorb bursts.
 //
 // Shutdown ordering: Close closes t.closed and the socket; the reader
-// unblocks, exits, and closes the worker channels; workers drain their
-// channels and exit; writers exit on t.closed; Close then drains any
-// requests left in the ring to release their buffers.
+// unblocks and exits; writers exit on t.closed; Close then drains any
+// requests left in the rings to release their buffers.
 package rtnet
 
 import (
@@ -62,7 +64,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"time"
 
@@ -101,11 +102,6 @@ const (
 )
 
 const (
-	// maxDecodeWorkers caps the decode pool, which is otherwise one
-	// worker per CPU. Datagrams partition across workers by source
-	// address, so all fragments of one message reassemble on one worker
-	// and per-source arrival order is preserved.
-	maxDecodeWorkers = 4
 	// sendWriters is the number of writer goroutines. Each drains its
 	// own send-ring shard and peers map to shards by address hash,
 	// preserving per-peer frame order.
@@ -115,27 +111,7 @@ const (
 	// dropped and counted in rtnet_send_ring_overflow_total — explicit
 	// backpressure instead of silently blocking the protocol loop.
 	sendRingSize = 4096
-	// envBatch caps how many decoded envelopes one worker submits per
-	// doEnvBatch: large enough to amortize the inbox lock and wakeup over
-	// a burst, small enough to keep delivery latency flat.
-	envBatch = 64
-	// rxQueueLen is the per-worker datagram queue. When a worker's
-	// queue is full the reader blocks — backpressure onto the socket
-	// buffer, which is the component sized to absorb bursts.
-	rxQueueLen = 512
 )
-
-// rxDatagram is one received datagram handed from the reader to a
-// decode worker. data is heap-owned by the receiver chain (the reader
-// copies out of its read buffer), so reassembly may alias it.
-type rxDatagram struct {
-	from netip.AddrPort
-	data []byte
-}
-
-type decodeWorker struct {
-	ch chan rxDatagram
-}
 
 // sendChunk is one frame of an encoded message, pre-fault-plan. When
 // buf is non-nil, data aliases the refcounted buffer and every enqueue
@@ -200,14 +176,12 @@ type Transport struct {
 	inTC   wire.TraceCtx
 	inTCOK bool
 
-	// workers is the decode pool; sendQs are the send rings, one per
-	// writer, sharded by destination so each peer's datagrams stay FIFO
-	// (concurrent writers draining one shared ring would reorder
-	// adjacent datagrams to the same peer on every send, which the
-	// protocols tolerate as rare transport misbehaviour, not as the
-	// steady state). Both are built by Start.
-	workers []*decodeWorker
-	sendQs  []chan sendReq
+	// sendQs are the send rings, one per writer, sharded by destination
+	// so each peer's datagrams stay FIFO (concurrent writers draining one
+	// shared ring would reorder adjacent datagrams to the same peer on
+	// every send, which the protocols tolerate as rare transport
+	// misbehaviour, not as the steady state). Built by Start.
+	sendQs []chan sendReq
 
 	// ins holds the wire-level instruments. Counters are atomic and
 	// nil-safe, so the reader goroutine and timer callbacks may bump
@@ -217,7 +191,6 @@ type Transport struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	readerWG  sync.WaitGroup
-	decodeWG  sync.WaitGroup
 	writerWG  sync.WaitGroup
 }
 
@@ -237,7 +210,6 @@ type transportMetrics struct {
 	sendRingOverflow *metrics.Counter
 	bundledFrames    *metrics.Counter
 	sendRingDepth    *metrics.Gauge
-	decodeQueueDepth *metrics.Gauge
 	traceCtxSent     *metrics.Counter
 	traceCtxRecv     *metrics.Counter
 }
@@ -256,7 +228,6 @@ func (t *Transport) Instrument(r *metrics.Registry) {
 		sendRingOverflow: r.Counter("rtnet_send_ring_overflow_total"),
 		bundledFrames:    r.Counter("rtnet_bundled_frames_total"),
 		sendRingDepth:    r.Gauge("rtnet_send_ring_depth"),
-		decodeQueueDepth: r.Gauge("rtnet_decode_queue_depth"),
 		traceCtxSent:     r.Counter("rtnet_trace_ctx_sent_total"),
 		traceCtxRecv:     r.Counter("rtnet_trace_ctx_recv_total"),
 	}
@@ -377,8 +348,8 @@ func (t *Transport) setPeers(peers map[ids.ProcessID]*net.UDPAddr) {
 // netsim.Mux handler). Must be called before Start.
 func (t *Transport) SetHandler(h netsim.Handler) { t.handler = h }
 
-// Start launches the data plane: the send-ring writers, the decode
-// pool and the UDP reader.
+// Start launches the data plane: the send-ring writers and the UDP
+// reader.
 func (t *Transport) Start() {
 	t.sendQs = make([]chan sendReq, sendWriters)
 	for i := range t.sendQs {
@@ -388,27 +359,17 @@ func (t *Transport) Start() {
 		t.writerWG.Add(1)
 		go t.writeLoop(q)
 	}
-	t.workers = make([]*decodeWorker, min(maxDecodeWorkers, runtime.NumCPU()))
-	for i := range t.workers {
-		t.workers[i] = &decodeWorker{ch: make(chan rxDatagram, rxQueueLen)}
-	}
-	for _, w := range t.workers {
-		t.decodeWG.Add(1)
-		go t.decodeLoop(w)
-	}
 	t.readerWG.Add(1)
 	go t.readLoop()
 }
 
-// Close shuts the data plane down: reader first (it closes the worker
-// channels on exit), then the decode workers drain, then the writers
-// stop, then any requests still queued on the ring are drained so their
+// Close shuts the data plane down: the reader exits, then the writers
+// stop, then any requests still queued on the rings are drained so their
 // buffers return to the pool.
 func (t *Transport) Close() {
 	t.closeOnce.Do(func() { close(t.closed) })
 	_ = t.conn.Close()
 	t.readerWG.Wait()
-	t.decodeWG.Wait()
 	t.writerWG.Wait()
 	for _, q := range t.sendQs {
 	drain:
@@ -734,8 +695,8 @@ func (t *Transport) deliverEnv(env *envelope) {
 	t.inTCOK = false
 }
 
-// apHash partitions datagram sources across decode workers (FNV-1a over
-// the address and port).
+// apHash maps a peer to its send-ring shard (FNV-1a over the address
+// and port).
 func apHash(ap netip.AddrPort) uint32 {
 	const (
 		offset32 = 2166136261
@@ -752,18 +713,13 @@ func apHash(ap netip.AddrPort) uint32 {
 	return h
 }
 
+// readLoop is the whole receive path: it reads, reassembles and decodes
+// each datagram and hands its envelopes to the loop in one submission.
 func (t *Transport) readLoop() {
 	defer t.readerWG.Done()
-	// Closing the worker channels (after the final sends below) lets the
-	// workers drain and exit; they never close their own channel, so the
-	// blocking handoff can't deadlock.
-	defer func() {
-		for _, w := range t.workers {
-			close(w.ch)
-		}
-	}()
 	buf := make([]byte, 256*1024)
-	nw := uint32(len(t.workers))
+	reasm := newReassembler()
+	var envs []envelope
 	for {
 		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -777,49 +733,11 @@ func (t *Transport) readLoop() {
 		}
 		t.ins.dgramsRecv.Inc()
 		t.ins.bytesRecv.Add(int64(n))
-		// Copy out of the reusable read buffer; everything downstream
-		// (reassembly, decoded messages via aliasing readers) owns the
-		// copy. The append-based clone skips zeroing memory it is about
-		// to overwrite.
-		w := t.workers[apHash(from)%nw]
-		w.ch <- rxDatagram{from: from, data: bytes.Clone(buf[:n])}
-		t.ins.decodeQueueDepth.Set(int64(len(w.ch)))
-	}
-}
-
-// decodeLoop is one decode worker: reassemble and decode the datagrams
-// of its source partition, accumulate bursts, and submit each burst to
-// the driver as a single batch (one inbox lock, one wakeup).
-func (t *Transport) decodeLoop(w *decodeWorker) {
-	defer t.decodeWG.Done()
-	reasm := newReassembler()
-	envs := make([]envelope, 0, envBatch)
-	for {
-		d, ok := <-w.ch
-		if !ok {
-			return
-		}
-		envs = t.decodeInto(envs[:0], reasm, d)
-		chClosed := false
-	drain:
-		// Opportunistically drain whatever else is already queued so
-		// one submission covers the whole burst.
-		for len(envs) < envBatch {
-			select {
-			case d, ok := <-w.ch:
-				if !ok {
-					chClosed = true
-					break drain
-				}
-				envs = t.decodeInto(envs, reasm, d)
-			default:
-				break drain
-			}
-		}
+		// Copy out of the reusable read buffer: reassembly and the decoded
+		// messages (via aliasing readers) own the copy. The append-based
+		// clone skips zeroing memory it is about to overwrite.
+		envs = t.decodeInto(envs[:0], reasm, from, bytes.Clone(buf[:n]))
 		t.d.doEnvBatch(t, envs)
-		if chClosed {
-			return
-		}
 	}
 }
 
@@ -828,18 +746,18 @@ func (t *Transport) decodeLoop(w *decodeWorker) {
 // whole before any frame is used: bad framing counts one malformed
 // datagram and delivers nothing. Each frame of a good bundle is then
 // handled exactly as a datagram of its own.
-func (t *Transport) decodeInto(envs []envelope, reasm *reassembler, d rxDatagram) []envelope {
-	if !isBundle(d.data) {
-		return t.decodeFrame(envs, reasm, d.from, d.data)
+func (t *Transport) decodeInto(envs []envelope, reasm *reassembler, from netip.AddrPort, data []byte) []envelope {
+	if !isBundle(data) {
+		return t.decodeFrame(envs, reasm, from, data)
 	}
-	body := d.data[len(bundleMagic):]
+	body := data[len(bundleMagic):]
 	if !validBundle(body) {
 		t.ins.dgramsMalformed.Inc()
 		return envs
 	}
 	for len(body) > 0 {
 		frame, rest, _ := nextFrame(body)
-		envs = t.decodeFrame(envs, reasm, d.from, frame)
+		envs = t.decodeFrame(envs, reasm, from, frame)
 		body = rest
 	}
 	return envs
@@ -864,14 +782,17 @@ func (t *Transport) decodeFrame(envs []envelope, reasm *reassembler, from netip.
 	return append(envs, env)
 }
 
-// PipelineStats is a point-in-time snapshot of the parallel data plane,
-// served by the /debug/rtnet endpoint. Queue lengths are sampled
-// racily, which is fine for observability.
+// PipelineStats is a point-in-time snapshot of the data plane, served
+// by the /debug/rtnet endpoint. Queue lengths are sampled racily, which
+// is fine for observability.
 type PipelineStats struct {
-	DecodeWorkers   int   `json:"decode_workers"`
-	SendWriters     int   `json:"send_writers"`
-	SendRingCap     int   `json:"send_ring_cap"`
-	SendRingLen     int   `json:"send_ring_len"`
+	SendWriters int `json:"send_writers"`
+	SendRingCap int `json:"send_ring_cap"`
+	SendRingLen int `json:"send_ring_len"`
+	// DecodeQueueLens holds the length of the one queue between the
+	// socket and the protocol: the driver inbox, as a one-element slice.
+	// Decoded envelopes wait there for the loop; the field keeps its
+	// name for the readers that already scrape it.
 	DecodeQueueLens []int `json:"decode_queue_lens"`
 }
 
@@ -879,15 +800,12 @@ type PipelineStats struct {
 // depths. Call after Start.
 func (t *Transport) PipelineStats() PipelineStats {
 	st := PipelineStats{
-		DecodeWorkers: len(t.workers),
-		SendWriters:   len(t.sendQs),
+		SendWriters:     len(t.sendQs),
+		DecodeQueueLens: []int{t.d.inboxLen()},
 	}
 	for _, q := range t.sendQs {
 		st.SendRingCap += cap(q)
 		st.SendRingLen += len(q)
-	}
-	for _, w := range t.workers {
-		st.DecodeQueueLens = append(st.DecodeQueueLens, len(w.ch))
 	}
 	return st
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"reflect"
 	"strings"
@@ -131,7 +132,7 @@ func TestRetiredWireIDsAreUnknown(t *testing.T) {
 			sent++
 			dgram := make([]byte, fragHeader, fragHeader+len(env))
 			writeFragHeader(dgram, uint64(sent), 0, 1)
-			if envs := tr.decodeInto(nil, reasm, rxDatagram{data: append(dgram, env...)}); len(envs) != 0 {
+			if envs := tr.decodeInto(nil, reasm, netip.AddrPort{}, append(dgram, env...)); len(envs) != 0 {
 				t.Errorf("wire id %d produced an envelope: %+v", id, envs)
 			}
 		}
