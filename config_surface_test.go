@@ -18,7 +18,7 @@ import (
 	"plwg/internal/rtnet"
 )
 
-var update = flag.Bool("update", false, "rewrite the goldens: testdata/config_surface.golden and EXPERIMENTS.md's Figure 2 tables")
+var update = flag.Bool("update", false, "rewrite the goldens: testdata/config_surface.golden and EXPERIMENTS.md's generated tables")
 
 // TestConfigSurface makes "zero new options" something a machine sees:
 // every exported field of the configuration structs — each one a value a

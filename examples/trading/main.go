@@ -137,6 +137,6 @@ func run() error {
 }
 
 func byKind(m map[string]int64) string {
-	return fmt.Sprintf("data=%d ack=%d heartbeat=%d flush=%d naming=%d",
-		m["data"], m["ack"], m["heartbeat"], m["flush"], m["naming"]+m["naming-digest"]+m["naming-delta"])
+	return fmt.Sprintf("data=%d heartbeat=%d flush=%d naming=%d",
+		m["data"], m["heartbeat"], m["flush"], m["naming"]+m["naming-digest"]+m["naming-delta"])
 }

@@ -46,7 +46,7 @@ type Message interface {
 }
 
 // Kinder is optionally implemented by messages to label per-kind traffic
-// accounting (e.g. "data", "ack", "heartbeat", "flush").
+// accounting (e.g. "data", "heartbeat", "flush").
 type Kinder interface {
 	Kind() string
 }

@@ -264,7 +264,7 @@ func (t *Transport) stampTC(env *envelope) {
 	}
 	if k, ok := env.Msg.(netsim.Kinder); ok {
 		switch k.Kind() {
-		case "data", "ack", "heartbeat", "nack":
+		case "data", "heartbeat", "nack":
 			t.tcSeq++
 			if t.tcSeq%uint64(t.sampleEvery) != 0 {
 				return

@@ -60,8 +60,8 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireTypesComplete(t *testing.T) {
 	ranges := map[string][2]byte{"vsync": {1, 31}, "core": {32, 63}, "naming": {64, 95}}
 	want := map[string][]string{
-		"vsync": {"msgData", "msgNack", "msgRetrans", "msgAckVector",
-			"msgHeartbeat", "msgPresence", "msgJoinReq", "msgLeaveReq", "msgStop", "msgAbort",
+		"vsync": {"msgData", "msgNack", "msgRetrans", "msgHeartbeat",
+			"msgPresence", "msgJoinReq", "msgLeaveReq", "msgStop", "msgAbort",
 			"msgFlushOk", "msgFlushPull", "msgFlushFill", "msgNewView", "benchPayload"},
 		"core": {"lwgData", "lwgBatch", "lwgJoinReq", "lwgLeaveReq", "lwgMoved", "lwgStop",
 			"lwgFlushOk", "lwgView", "lwgAnnounce", "lwgMergeViews", "lwgMappedViews",
@@ -111,13 +111,14 @@ func retiredEnvelopes(id byte) [][]byte {
 }
 
 // TestRetiredWireIDsAreUnknown: identifiers 2 (the total-order token), 3
-// (the per-message ack) and 68 (the full-database push) were deleted with
-// their protocols and are never reassigned. A datagram carrying one is a malformed datagram like
+// (the per-message ack), 4 (the standalone ack vector) and 68 (the
+// full-database push) were deleted with their protocols and are never
+// reassigned. A datagram carrying one is a malformed datagram like
 // any other unknown identifier: counted, no envelope for the protocol
 // loop, so no reply.
 func TestRetiredWireIDsAreUnknown(t *testing.T) {
-	if got := wire.RetiredIDs(); !bytes.Equal(got, []byte{2, 3, 68}) {
-		t.Fatalf("retired wire ids = %v, want [2 3 68]", got)
+	if got := wire.RetiredIDs(); !bytes.Equal(got, []byte{2, 3, 4, 68}) {
+		t.Fatalf("retired wire ids = %v, want [2 3 4 68]", got)
 	}
 	tr := &Transport{}
 	reg := metrics.NewRegistry()

@@ -13,10 +13,10 @@ import (
 // reserved for this package.
 
 const (
-	wireMsgData         byte = iota + 1
-	wireRetiredOrdToken      // the total-order token, deleted with the sequencer
-	wireRetiredMsgAck        // the per-message ack, deleted with its stability scheme
-	wireMsgAckVector
+	wireMsgData          byte = iota + 1
+	wireRetiredOrdToken       // the total-order token, deleted with the sequencer
+	wireRetiredMsgAck         // the per-message ack, deleted with its stability scheme
+	wireRetiredAckVector      // the standalone ack vector, now carried by the heartbeat
 	wireMsgHeartbeat
 	wireMsgNack
 	wireMsgRetrans
@@ -176,18 +176,6 @@ func getMsgDatas(r *wire.Reader) ([]*msgData, error) {
 }
 
 // WireID implements wire.Marshaler.
-func (m *msgAckVector) WireID() byte { return wireMsgAckVector }
-
-// MarshalWire implements wire.Marshaler.
-func (m *msgAckVector) MarshalWire(b *wire.Buffer) bool {
-	b.HWG(m.GID)
-	b.ViewID(m.View)
-	b.PID(m.From)
-	putSeqMap(b, m.MaxSeq)
-	return true
-}
-
-// WireID implements wire.Marshaler.
 func (m *msgHeartbeat) WireID() byte { return wireMsgHeartbeat }
 
 // MarshalWire implements wire.Marshaler.
@@ -196,6 +184,7 @@ func (m *msgHeartbeat) MarshalWire(b *wire.Buffer) bool {
 	b.PID(m.From)
 	b.ViewID(m.View)
 	b.Uint64(m.MaxSeq)
+	putSeqMap(b, m.Acks)
 	return true
 }
 
@@ -324,21 +313,16 @@ func (m *msgNewView) MarshalWire(b *wire.Buffer) bool {
 func init() {
 	wire.Retire(wireRetiredOrdToken)
 	wire.Retire(wireRetiredMsgAck)
+	wire.Retire(wireRetiredAckVector)
 	wire.Register(wireMsgData, func(r *wire.Reader) (wire.Marshaler, error) {
 		return getMsgData(r)
-	})
-	wire.Register(wireMsgAckVector, func(r *wire.Reader) (wire.Marshaler, error) {
-		m := &msgAckVector{GID: r.HWG()}
-		m.View = r.ViewID()
-		m.From = r.PID()
-		m.MaxSeq = getSeqMap(r)
-		return m, r.Err()
 	})
 	wire.Register(wireMsgHeartbeat, func(r *wire.Reader) (wire.Marshaler, error) {
 		m := &msgHeartbeat{GID: r.HWG()}
 		m.From = r.PID()
 		m.View = r.ViewID()
 		m.MaxSeq = r.Uint64()
+		m.Acks = getSeqMap(r)
 		return m, r.Err()
 	})
 	wire.Register(wireMsgNack, func(r *wire.Reader) (wire.Marshaler, error) {

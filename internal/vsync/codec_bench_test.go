@@ -48,9 +48,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		// The smallest copy a retransmission can carry: seven one-byte
 		// fields, the minimum getMsgDatas checks its count against.
 		&msgRetrans{GID: 1, Msgs: []*msgData{{GID: 1, View: vid(2, 9), Sender: 2, Seq: 1}}},
-		&msgAckVector{GID: 2, View: vid(5, 8), From: 3,
-			MaxSeq: map[ids.ProcessID]uint64{1: 10, 4: 7}},
 		&msgHeartbeat{GID: 9, From: 2, View: vid(2, 2), MaxSeq: 55},
+		&msgHeartbeat{GID: 2, From: 3, View: vid(5, 8), MaxSeq: 4,
+			Acks: map[ids.ProcessID]uint64{1: 10, 4: 7}},
 	}
 	for _, m := range msgs {
 		wiretest.RoundTrip(t, m)

@@ -36,11 +36,6 @@ const (
 	responderTimeout = 1500 * time.Millisecond
 	// maxFlushAttempts bounds reconfiguration retries.
 	maxFlushAttempts = 5
-	// ackInterval is the idle-receiver period of the stability scheme:
-	// every outgoing data message carries the sender's cumulative
-	// acknowledgement vector, and a member that sent no data since the
-	// last tick sends one standalone vector instead.
-	ackInterval = 50 * time.Millisecond
 	// nackInterval is the period of the loss-repair scan: observed
 	// sequence gaps older than one interval are NACKed to their sender.
 	nackInterval = 100 * time.Millisecond

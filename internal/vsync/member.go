@@ -37,10 +37,6 @@ type member struct {
 	// Sending.
 	nextSeq uint64
 	pending []Payload
-	// piggybacked is set when an outgoing data message carried the
-	// cumulative ack vector; the ack ticker skips one standalone vector
-	// per interval in which it is set.
-	piggybacked bool
 
 	// Per-view delivery and stability state (reset at each install).
 	// buffer holds the delivered messages that are not yet stable.
@@ -105,7 +101,6 @@ type member struct {
 	hbTicker   *sim.Ticker
 	fdTicker   *sim.Ticker
 	presTicker *sim.Ticker
-	ackTicker  *sim.Ticker
 	nackTicker *sim.Ticker
 	joinTicker *sim.Ticker
 	joinTimer  *sim.Timer
@@ -267,8 +262,8 @@ func (m *member) send(p Payload) {
 	})
 }
 
-// ackSnapshot copies the delivered-sequence vector for piggybacking on an
-// outgoing data message (nil when nothing was delivered yet).
+// ackSnapshot copies the delivered-sequence vector for an outgoing data
+// message or heartbeat (nil when nothing was delivered yet).
 func (m *member) ackSnapshot() map[ids.ProcessID]uint64 {
 	if len(m.deliveredSeq) == 0 {
 		return nil
@@ -277,7 +272,6 @@ func (m *member) ackSnapshot() map[ids.ProcessID]uint64 {
 	for s, q := range m.deliveredSeq {
 		vec[s] = q
 	}
-	m.piggybacked = true
 	return vec
 }
 
@@ -294,11 +288,7 @@ func (m *member) onData(from ids.ProcessID, d *msgData) {
 		d.tc, d.tcOK = tc, true
 	}
 	m.deliverData(d)
-	if len(d.Acks) > 0 {
-		// Piggybacked cumulative vector: same stability rule as a
-		// standalone msgAckVector.
-		m.applyAckVector(d.Sender, d.Acks)
-	}
+	m.applyAckVector(d.Sender, d.Acks)
 }
 
 // deliverData performs deduplicated delivery.
@@ -352,14 +342,6 @@ func (m *member) appDeliver(d *msgData) {
 	m.st.inTCOK = false
 }
 
-func (m *member) onAckVector(from ids.ProcessID, a *msgAckVector) {
-	if a.View != m.view.ID {
-		return
-	}
-	m.heard(from)
-	m.applyAckVector(from, a.MaxSeq)
-}
-
 // isDelivered reports whether message k (of the current view) was
 // delivered: the flush digest is exactly the delivered set. Sequences
 // start at 1, so a frame numbered 0 counts as delivered and is dropped.
@@ -368,7 +350,7 @@ func (m *member) isDelivered(k msgKey) bool {
 }
 
 // applyAckVector merges a cumulative acknowledgement vector from a peer
-// (standalone or piggybacked; the caller has checked the view) and
+// (carried by data or a heartbeat; the caller has checked the view) and
 // collects any stability it unlocks. Only a raised entry for sender s
 // can move s's watermark, and the buffered copies it frees are exactly
 // the keys of s numbered above stableSeq[s] and at most the new
@@ -420,23 +402,6 @@ func (m *member) watermark(s ids.ProcessID) uint64 {
 		}
 	}
 	return w
-}
-
-func (m *member) sendAckVector() {
-	if m.state != stateNormal || len(m.deliveredSeq) == 0 {
-		return
-	}
-	if m.piggybacked {
-		// Data traffic carried the vector since the last tick; the
-		// standalone frame would be pure overhead.
-		m.piggybacked = false
-		return
-	}
-	vec := make(map[ids.ProcessID]uint64, len(m.deliveredSeq))
-	for s, q := range m.deliveredSeq {
-		vec[s] = q
-	}
-	m.multicast(&msgAckVector{GID: m.gid, View: m.view.ID, From: m.st.pid, MaxSeq: vec})
 }
 
 // --- loss repair -----------------------------------------------------------
@@ -548,7 +513,8 @@ func (m *member) heard(p ids.ProcessID) {
 // onHeartbeat refreshes the failure detector only for peers that share
 // this member's view: a heartbeat tagged with another view proves the
 // process is alive, but not that it still participates in ours — counting
-// it would mask exactly the divergence that needs repair.
+// it would mask exactly the divergence that needs repair. The same check
+// guards the acknowledgement vector the heartbeat carries.
 func (m *member) onHeartbeat(from ids.ProcessID, hb *msgHeartbeat) {
 	if hb.View != m.view.ID {
 		return
@@ -557,6 +523,7 @@ func (m *member) onHeartbeat(from ids.ProcessID, hb *msgHeartbeat) {
 	if hb.MaxSeq > m.maxSeen[from] {
 		m.maxSeen[from] = hb.MaxSeq
 	}
+	m.applyAckVector(from, hb.Acks)
 }
 
 func (m *member) sendHeartbeat() {
@@ -565,6 +532,7 @@ func (m *member) sendHeartbeat() {
 	}
 	m.multicast(&msgHeartbeat{
 		GID: m.gid, From: m.st.pid, View: m.view.ID, MaxSeq: m.nextSeq,
+		Acks: m.ackSnapshot(),
 	})
 }
 
@@ -676,18 +644,17 @@ func (m *member) startTimers() {
 		m.fdTicker = m.st.clock.Every(FDCheckInterval, m.checkFailures)
 		m.presTicker = m.st.clock.Every(presenceInterval, m.sendPresence)
 		m.nackTicker = m.st.clock.Every(nackInterval, m.scanGaps)
-		m.ackTicker = m.st.clock.Every(ackInterval, m.sendAckVector)
 	})
 }
 
 func (m *member) stopTimers() {
-	for _, t := range []*sim.Ticker{m.hbTicker, m.fdTicker, m.presTicker, m.ackTicker, m.nackTicker, m.joinTicker} {
+	for _, t := range []*sim.Ticker{m.hbTicker, m.fdTicker, m.presTicker, m.nackTicker, m.joinTicker} {
 		if t != nil {
 			t.Stop()
 		}
 	}
-	m.hbTicker, m.fdTicker, m.presTicker, m.ackTicker, m.nackTicker, m.joinTicker =
-		nil, nil, nil, nil, nil, nil
+	m.hbTicker, m.fdTicker, m.presTicker, m.nackTicker, m.joinTicker =
+		nil, nil, nil, nil, nil
 	for _, t := range []*sim.Timer{m.joinTimer, m.respTimer} {
 		if t != nil {
 			t.Stop()
@@ -736,7 +703,6 @@ func (m *member) install(v ids.View) {
 	m.stopPending = false
 	m.stopEpoch = epoch{}
 	m.nextSeq = 0
-	m.piggybacked = false
 	m.buffer = make(map[msgKey]*msgData)
 	m.ackVectors = make(map[ids.ProcessID]map[ids.ProcessID]uint64)
 	m.stableSeq = make(map[ids.ProcessID]uint64)

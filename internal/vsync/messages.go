@@ -77,22 +77,6 @@ func (m *msgData) WireSize() int {
 // Kind implements netsim.Kinder.
 func (m *msgData) Kind() string { return "data" }
 
-// msgAckVector is a standalone cumulative acknowledgement: the highest
-// contiguous sequence number delivered per sender in the current view,
-// sent once per ackInterval in which no data message carried it.
-type msgAckVector struct {
-	GID    ids.HWGID
-	View   ids.ViewID
-	From   ids.ProcessID
-	MaxSeq map[ids.ProcessID]uint64
-}
-
-// WireSize implements netsim.Message.
-func (m *msgAckVector) WireSize() int { return 24 + 12*len(m.MaxSeq) }
-
-// Kind implements netsim.Kinder.
-func (m *msgAckVector) Kind() string { return "ack" }
-
 // msgNack asks a sender to retransmit messages the requester observed a
 // sequence gap for — loss repair on unreliable transports. (The
 // simulated bus never loses frames unless configured to; real UDP
@@ -130,16 +114,21 @@ func (m *msgRetrans) Kind() string { return "nack" }
 // msgHeartbeat is the per-member liveness beacon. It advertises the
 // sender's highest used sequence number so receivers can detect the loss
 // of a sender's most recent messages (a tail loss leaves no later message
-// to expose the gap).
+// to expose the gap), and carries the sender's cumulative acknowledgement
+// vector, so a member that sends no data still acknowledges, and a lost
+// vector is repaired by the next beat.
 type msgHeartbeat struct {
 	GID    ids.HWGID
 	From   ids.ProcessID
 	View   ids.ViewID
 	MaxSeq uint64
+	// Acks is the sender's cumulative acknowledgement vector, as on
+	// msgData; nil when the sender has delivered nothing yet.
+	Acks map[ids.ProcessID]uint64
 }
 
 // WireSize implements netsim.Message.
-func (m *msgHeartbeat) WireSize() int { return 32 }
+func (m *msgHeartbeat) WireSize() int { return 32 + 12*len(m.Acks) }
 
 // Kind implements netsim.Kinder.
 func (m *msgHeartbeat) Kind() string { return "heartbeat" }

@@ -91,7 +91,7 @@ func (o *oldRule) ack(from ids.ProcessID, vec map[ids.ProcessID]uint64) {
 
 // TestWatermarkStabilityMatchesRescan drives one member through random
 // deliveries (in order, reordered, NACK retransmissions, flush fills,
-// duplicates), heartbeats and piggybacked and standalone vectors, and
+// duplicates) and heartbeats, with vectors carried by data and beats, and
 // checks after every step that its buffer, its delivered set and the
 // app's deliveries are exactly what the rescanning rule gives.
 func TestWatermarkStabilityMatchesRescan(t *testing.T) {
@@ -181,16 +181,15 @@ func TestWatermarkStabilityMatchesRescan(t *testing.T) {
 				d := msg(s, q)
 				o.deliver(d.key())
 				m.deliverData(d) // how onNewView closes the old view
-			case r < 8:
-				p := members[rng.Intn(len(members))]
-				what = fmt.Sprintf("heartbeat %v", p)
-				m.onHeartbeat(p, &msgHeartbeat{GID: g1, From: p, View: m.view.ID, MaxSeq: produced[p]})
 			default:
 				from := ackers[rng.Intn(len(ackers))]
-				vec := vector()
-				what = fmt.Sprintf("vector %v %v", from, vec)
-				o.ack(from, vec)
-				m.onAckVector(from, &msgAckVector{GID: g1, View: m.view.ID, From: from, MaxSeq: vec})
+				hb := &msgHeartbeat{GID: g1, From: from, View: m.view.ID, MaxSeq: produced[from]}
+				if rng.Intn(2) == 0 {
+					hb.Acks = vector()
+				}
+				what = fmt.Sprintf("heartbeat %v acks=%v", from, hb.Acks)
+				o.ack(from, hb.Acks)
+				m.onHeartbeat(from, hb)
 			}
 			if len(m.buffer) != len(o.buffer) {
 				t.Fatalf("seed %d step %d (%s): buffer holds %d, rescan holds %d",
@@ -241,7 +240,7 @@ func TestWatermarkHostileVectors(t *testing.T) {
 		t.Fatalf("buffer = %d, want 5", len(m.buffer))
 	}
 
-	m.onAckVector(9, &msgAckVector{GID: g1, View: m.view.ID, From: 9, MaxSeq: map[ids.ProcessID]uint64{1: 5}})
+	m.onHeartbeat(9, &msgHeartbeat{GID: g1, From: 9, View: m.view.ID, Acks: map[ids.ProcessID]uint64{1: 5}})
 	if len(m.buffer) != 5 || m.ackVectors[9] != nil {
 		t.Fatalf("non-member vector collected: buffer = %d, vectors = %v", len(m.buffer), m.ackVectors)
 	}
@@ -250,8 +249,8 @@ func TestWatermarkHostileVectors(t *testing.T) {
 	go func() {
 		defer close(done)
 		for _, p := range []ids.ProcessID{2, 3} {
-			m.onAckVector(p, &msgAckVector{GID: g1, View: m.view.ID, From: p,
-				MaxSeq: map[ids.ProcessID]uint64{1: math.MaxUint64}})
+			m.onHeartbeat(p, &msgHeartbeat{GID: g1, From: p, View: m.view.ID,
+				Acks: map[ids.ProcessID]uint64{1: math.MaxUint64}})
 		}
 	}()
 	select {
@@ -291,9 +290,10 @@ func receiveOnly(tb testing.TB) *world {
 // sendGap is the virtual time between process 0's sends.
 const sendGap = 100 * time.Microsecond
 
-// TestStabilityStateBounded: with receive-only members, a long view
-// keeps at most one ackInterval of traffic buffered, and no per-member
-// map grows with the number of messages.
+// TestStabilityStateBounded: with receive-only members, whose vectors
+// ride their heartbeats, a long view keeps at most one HeartbeatInterval
+// of traffic buffered, and no per-member map grows with the number of
+// messages.
 func TestStabilityStateBounded(t *testing.T) {
 	w := receiveOnly(t)
 	view := w.view(0, g1)
@@ -308,7 +308,7 @@ func TestStabilityStateBounded(t *testing.T) {
 			maxBuf = max(maxBuf, len(st.groups[g1].buffer))
 		}
 	}
-	if limit := int(ackInterval/sendGap) + 1; maxBuf > limit {
+	if limit := int(HeartbeatInterval/sendGap) + 1; maxBuf > limit {
 		t.Errorf("buffer peaked at %d messages, want at most %d", maxBuf, limit)
 	}
 	for pid, st := range w.stacks {

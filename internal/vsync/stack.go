@@ -309,8 +309,6 @@ func (s *Stack) HandleMessage(from netsim.NodeID, _ netsim.Addr, msg netsim.Mess
 		s.withMember(m.GID, func(mb *member) { mb.onNack(from, m) })
 	case *msgRetrans:
 		s.withMember(m.GID, func(mb *member) { mb.onRetrans(from, m) })
-	case *msgAckVector:
-		s.withMember(m.GID, func(mb *member) { mb.onAckVector(from, m) })
 	case *msgHeartbeat:
 		s.withMember(m.GID, func(mb *member) { mb.onHeartbeat(from, m) })
 	case *msgPresence:

@@ -107,6 +107,21 @@ func (w *world) requireSameView(gid ids.HWGID, pids ...ids.ProcessID) ids.View {
 	return want
 }
 
+// sameView reports whether processes 0..n-1 share one view of gid
+// holding exactly them.
+func (w *world) sameView(gid ids.HWGID, n int) bool {
+	v0, ok := w.stacks[0].CurrentView(gid)
+	if !ok || len(v0.Members) != n {
+		return false
+	}
+	for p := ids.ProcessID(1); int(p) < n; p++ {
+		if v, ok := w.stacks[p].CurrentView(gid); !ok || v.ID != v0.ID {
+			return false
+		}
+	}
+	return true
+}
+
 // checkViewSynchrony verifies the defining property: any two processes
 // that both install the same two consecutive views delivered the same
 // messages between them. The comparison itself lives in internal/check,
@@ -248,38 +263,80 @@ func TestStabilityDiscardsBuffers(t *testing.T) {
 	}
 }
 
-// TestPeriodicAckStability: one sender, two idle receivers — nothing the
-// receivers send can carry their vector, so stability rests on the
-// standalone one per ackInterval.
+// TestPeriodicAckStability: one sender, two idle receivers on a lossy
+// network — nothing the receivers send carries their vector but their
+// heartbeats, so stability rests on those, and a lost beat is repaired
+// by the next one: every buffer drains a few heartbeats after the last
+// send.
 func TestPeriodicAckStability(t *testing.T) {
-	w := newWorld(t, 3)
-	for i := 0; i < 3; i++ {
+	for seed := int64(1); seed <= 20; seed++ {
+		w := lossyWorld(t, 3, 0.05, seed)
+		for i := 0; i < 3; i++ {
+			if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Lost join frames can cost a few flush rounds: wait for the view.
+		for d := time.Duration(0); d < 10*time.Second && !w.sameView(g1, 3); d += HeartbeatInterval {
+			w.run(HeartbeatInterval)
+		}
+		w.requireSameView(g1, 0, 1, 2)
+		for i := 0; i < 10; i++ {
+			if err := w.stacks[0].Send(g1, tPayload{ID: fmt.Sprintf("m%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+			w.run(time.Millisecond)
+		}
+		w.run(5 * HeartbeatInterval)
+		w.requireSameView(g1, 0, 1, 2)
+		for pid := ids.ProcessID(0); pid < 3; pid++ {
+			if got := len(appData(w.ups[pid], g1)); got != 10 {
+				t.Errorf("seed %d: %v delivered %d distinct messages, want 10", seed, pid, got)
+			}
+			if n := len(w.stacks[pid].groups[g1].buffer); n != 0 {
+				t.Errorf("seed %d: %v still buffers %d messages %v after the last send",
+					seed, pid, n, 5*HeartbeatInterval)
+			}
+		}
+	}
+}
+
+// TestIdleBusBudget: an idle heavy-weight group costs its heartbeats and
+// its coordinator's presence announcements and nothing else — no
+// stability traffic once nothing changes. Eight members: 8 × 10 beats
+// plus 4 presences a second.
+func TestIdleBusBudget(t *testing.T) {
+	const n = 8
+	w := newWorld(t, n)
+	for i := 0; i < n; i++ {
 		if err := w.stacks[ids.ProcessID(i)].Join(g1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.run(4 * time.Second)
-	w.requireSameView(g1, 0, 1, 2)
-	for i := 0; i < 10; i++ {
-		if err := w.stacks[0].Send(g1, tPayload{ID: fmt.Sprintf("m%d", i)}); err != nil {
+	w.run(5 * time.Second)
+	pids := make([]ids.ProcessID, n)
+	for i := range pids {
+		pids[i] = ids.ProcessID(i)
+	}
+	view := w.requireSameView(g1, pids...)
+	for i := 0; i < 3; i++ {
+		if err := w.stacks[ids.ProcessID(i)].Send(g1, tPayload{ID: fmt.Sprintf("m%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.run(2 * time.Second)
-	for pid := ids.ProcessID(0); pid < 3; pid++ {
-		var got int
-		for _, e := range w.ups[pid].log[g1] {
-			if e.kind == "data" {
-				got++
-			}
-		}
-		if got != 10 {
-			t.Errorf("%v delivered %d, want 10", pid, got)
-		}
-		m := w.stacks[pid].groups[g1]
-		if len(m.buffer) != 0 {
-			t.Errorf("%v still buffers %d messages under periodic acks", pid, len(m.buffer))
-		}
+	w.run(time.Second)
+	w.nw.ResetStats()
+	const secs = 60
+	w.run(secs * time.Second)
+	if v := w.view(0, g1); v.ID != view.ID {
+		t.Fatalf("view changed while idle: %v -> %v", view.ID, v.ID)
+	}
+	st := w.nw.Stats()
+	beats := int64(secs * n * time.Second / HeartbeatInterval)
+	presences := int64(secs * time.Second / presenceInterval)
+	if st.ByKind["heartbeat"] != beats || st.ByKind["presence"] != presences || st.Frames != beats+presences {
+		t.Errorf("idle bus over %ds: %d frames %v, want %d heartbeats + %d presences = %.0f frames/s",
+			secs, st.Frames, st.ByKind, beats, presences, float64(beats+presences)/secs)
 	}
 }
 
@@ -296,15 +353,17 @@ func TestStableAtDeliveryWithoutVectors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w.run(4 * time.Second)
+		// Heartbeats go out on a 100 ms grid; send between two beats.
+		w.run(4*time.Second + HeartbeatInterval/2)
 		w.nw.ResetStats()
 		if err := w.stacks[0].Send(g1, tPayload{ID: "m"}); err != nil {
 			t.Fatal(err)
 		}
 		w.run(20 * time.Millisecond)
-		// Stability at delivery must not have come from a vector.
-		if got := w.nw.Stats().ByKind["ack"]; got != 0 {
-			t.Fatalf("n=%d: %d ack-vector frames in the window, want 0", n, got)
+		// Stability at delivery must not have come from a vector: no
+		// heartbeat, the one carrier besides data, is in the window.
+		if got := w.nw.Stats().ByKind["heartbeat"]; got != 0 {
+			t.Fatalf("n=%d: %d heartbeats in the window, want 0", n, got)
 		}
 		for pid := ids.ProcessID(0); int(pid) < n; pid++ {
 			if len(w.ups[pid].log[g1]) == 0 {
