@@ -2,10 +2,7 @@ package rtnet
 
 import (
 	"net"
-	"net/netip"
 	"testing"
-
-	"plwg/internal/wire"
 )
 
 // BenchmarkReassemblerAddrKey models the per-datagram receive work the
@@ -33,32 +30,30 @@ func BenchmarkReassemblerAddrKey(b *testing.B) {
 	}
 }
 
-// BenchmarkWriterBurst prices one send-ring writer burst in the shape of
-// an HWG's control traffic: 64 small frames per op, alternating between
-// two peers. It reports ns/frame and frames/datagram; a writer that
-// wrote every frame as its own datagram would report 1 frame/datagram.
-func BenchmarkWriterBurst(b *testing.B) {
+// BenchmarkWriterHandOff prices one loop turn's send path in the shape
+// of an HWG's control traffic: 64 small frames per op, alternating
+// between two peers, queued, handed off and written as one batch. It
+// reports ns/frame and frames/datagram; a writer that wrote every frame
+// as its own datagram would report 1 frame/datagram.
+func BenchmarkWriterHandOff(b *testing.B) {
 	const burst = 64
-	tr, reg, peers := newWriterRig(b, burst, 2)
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, make([]byte, 120)...)
-	writeFragHeader(buf.B, 1, 0, 1)
-	to := []netip.AddrPort{addrPort(peers[0]), addrPort(peers[1])}
-	reqs := make([]sendReq, 0, burst)
+	tr, reg, _ := newWriterRig(b, 2)
+	frame := make([]byte, 120)
+	writeFragHeader(frame, 1, 0, 1)
+	batch := sendBatch{frames: make([][][]byte, 2)}
 	var bundle []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reqs = reqs[:0]
 		for k := 0; k < burst; k++ {
-			buf.Retain()
-			reqs = append(reqs, sendReq{data: buf.B, buf: buf, to: to[k%len(to)]})
+			tr.dispatch(k%2, frame)
 		}
-		bundle = tr.writeBurst(reqs, bundle)
+		tr.endTurn()
+		batch = tr.takeOutbox(batch)
+		bundle = tr.writeBatch(&batch, bundle)
 	}
 	b.StopTimer()
 	frames := float64(b.N * burst)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
 	b.ReportMetric(frames/float64(reg.Totals()["rtnet_datagrams_sent_total"]), "frames/datagram")
-	buf.Release()
 }

@@ -15,15 +15,15 @@ import (
 //
 //	/metrics        metrics registry in a text exposition format
 //	/debug/lwg      JSON snapshot of group membership and mappings
-//	/debug/rtnet    JSON snapshot of the transport's data plane (writer
-//	                count, send-ring and driver-inbox depths)
+//	/debug/rtnet    JSON snapshot of the transport's data plane (outbox
+//	                and driver-inbox depths)
 //	/debug/trace    the trace ring as JSONL (requires a *trace.Ring or
 //	                other Snapshotter as the node's Tracer)
 //	/debug/pprof/   the standard Go profiling endpoints
 //
 // The handler is safe to serve while the protocol runs: /metrics reads
 // atomic instruments, /debug/trace snapshots the ring under its own
-// lock, /debug/rtnet samples queue lengths racily (observability only),
+// lock, /debug/rtnet reads the outbox and inbox lengths under their locks,
 // and /debug/lwg hops onto the protocol loop for a consistent view.
 func (n *Node) DebugHandler() http.Handler {
 	mux := http.NewServeMux()

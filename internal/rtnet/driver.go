@@ -9,9 +9,11 @@
 // upcalls) runs on the driver's single loop goroutine — the same
 // single-threaded discipline the simulator enforces. External goroutines
 // (the transport's reader, application code) enter the loop through
-// Driver.Do/Call; the data plane around the loop (socket reads,
-// reassembly, envelope decoding, socket writes) runs on its own
-// goroutines (see the package comment in transport.go).
+// Driver.Do/Call; the data plane around the loop runs on two goroutines
+// per transport: the reader (socket reads, reassembly, envelope
+// decoding) and the writer (bundling, socket writes), which the loop
+// hands each turn's frames in one go (see the package comment in
+// transport.go).
 package rtnet
 
 import (

@@ -16,9 +16,9 @@ import (
 // datagram — the protocols already tolerate that.
 //
 // A datagram is either one frame, or a bundle: bundleMagic, then one or
-// more (uvarint length, frame) pairs. The send-ring writers bundle the
-// frames already queued for one peer, up to maxDatagram bytes, so a
-// burst of small messages costs one socket write instead of one each.
+// more (uvarint length, frame) pairs. The writer bundles the frames a
+// loop turn handed off for one peer, up to maxDatagram bytes, so a burst
+// of small messages costs one socket write instead of one each.
 
 const (
 	// fragPayload is the chunk payload size: safely below common UDP

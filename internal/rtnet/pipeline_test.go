@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,68 +18,13 @@ import (
 	"plwg/internal/ids"
 	"plwg/internal/metrics"
 	"plwg/internal/netsim"
-	"plwg/internal/wire"
 )
-
-// TestSendRingOverflowBackpressure drives dispatch against full
-// send-ring shards with no writers draining them: the overflowing
-// datagrams must be dropped (never block) and counted, and the
-// refcounted buffers they carried must be released.
-func TestSendRingOverflowBackpressure(t *testing.T) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	d := NewDriver(1)
-	tr := NewTransport(d, 0, conn, nil)
-	reg := metrics.NewRegistry()
-	tr.Instrument(reg)
-	// Hand-build the rings without writers, so nothing drains them.
-	const ringCap = 2
-	tr.sendQs = []chan sendReq{make(chan sendReq, ringCap)}
-	to := conn.LocalAddr().(*net.UDPAddr).AddrPort()
-
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, make([]byte, 64)...)
-	const sends = 7
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < sends; i++ {
-			buf.Retain()
-			tr.dispatch(sendReq{data: buf.B, buf: buf, to: to})
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("dispatch blocked on a full send ring")
-	}
-
-	if got := reg.Totals()["rtnet_send_ring_overflow_total"]; got != sends-ringCap {
-		t.Fatalf("overflow counter = %d, want %d", got, sends-ringCap)
-	}
-	if got := len(tr.sendQs[0]); got != ringCap {
-		t.Fatalf("ring holds %d requests, want %d", got, ringCap)
-	}
-	// Refcount audit: the encoder reference plus one per queued request
-	// must remain; the overflowed references must already be gone.
-	if got := buf.Refs(); got != 1+ringCap {
-		t.Fatalf("%d references after overflow, want %d", got, 1+ringCap)
-	}
-	for i := 0; i < ringCap; i++ {
-		req := <-tr.sendQs[0]
-		req.buf.Release()
-	}
-	buf.Release() // the encoder's own reference
-}
 
 // TestPipelineCloseMidFlight closes clusters while senders have just
 // stopped and datagrams — including multi-fragment messages — are still
-// in flight through the reader's reassembler, the inbox, and the send
-// rings. Run under -race this exercises the shutdown ordering: the
-// reader exits, writers stop, rings drain.
+// in flight through the reader's reassembler, the inbox, and the
+// outbox. Run under -race this exercises the shutdown ordering and the
+// outbox mutex: the reader exits, then the writer.
 func TestPipelineCloseMidFlight(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		nodes, cols := startCluster(t, 3, []ids.ProcessID{0})
@@ -115,7 +61,7 @@ func TestPipelineCloseMidFlight(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		close(stop)
 		wg.Wait()
-		// Close immediately: the rings, the socket buffers and the inbox
+		// Close immediately: the outbox, the socket buffers and the inbox
 		// still hold in-flight datagrams from the burst that just stopped.
 		for _, n := range nodes {
 			n.Close()
@@ -135,10 +81,8 @@ func TestDataPlaneDeliversExactlyOnceFIFO(t *testing.T) {
 	)
 	nodes, cols := startCluster(t, n, []ids.ProcessID{0})
 	for _, node := range nodes {
-		st := node.tr.PipelineStats()
-		if st.SendWriters != sendWriters || len(st.DecodeQueueLens) != 1 {
-			t.Fatalf("transport runs %d writers and reports %d receive queues, want %d and 1 (the driver inbox): %+v",
-				st.SendWriters, len(st.DecodeQueueLens), sendWriters, st)
+		if st := node.tr.PipelineStats(); len(st.DecodeQueueLens) != 1 {
+			t.Fatalf("transport reports %d receive queues, want 1 (the driver inbox): %+v", len(st.DecodeQueueLens), st)
 		}
 		node.Do(func(ep *core.Endpoint) { _ = ep.Join("in") })
 	}
@@ -239,15 +183,15 @@ func addrPort(c *net.UDPConn) netip.AddrPort {
 	return c.LocalAddr().(*net.UDPAddr).AddrPort()
 }
 
-// newWriterRig builds process 0's transport with one send ring and no
-// writer yet, so a test can queue a burst before any of it leaves, and
-// npeers loopback sockets addressed as processes 1..npeers.
-func newWriterRig(t testing.TB, ringCap, npeers int) (*Transport, *metrics.Registry, []*net.UDPConn) {
+// newWriterRig builds process 0's transport with no goroutine running,
+// so a test can queue and hand off frames before any of them leaves, and
+// npeers loopback sockets addressed as processes 1..npeers (peer indexes
+// 0..npeers-1).
+func newWriterRig(t testing.TB, npeers int) (*Transport, *metrics.Registry, []*net.UDPConn) {
 	t.Helper()
 	tr := NewTransport(NewDriver(1), 0, listenLoopback(t), nil)
 	reg := metrics.NewRegistry()
 	tr.Instrument(reg)
-	tr.sendQs = []chan sendReq{make(chan sendReq, ringCap)}
 	var peers []*net.UDPConn
 	book := make(map[ids.ProcessID]*net.UDPAddr, npeers)
 	for i := 0; i < npeers; i++ {
@@ -256,14 +200,22 @@ func newWriterRig(t testing.TB, ringCap, npeers int) (*Transport, *metrics.Regis
 		book[ids.ProcessID(i+1)] = pc.LocalAddr().(*net.UDPAddr)
 	}
 	tr.setPeers(book)
-	t.Cleanup(tr.Close)
+	t.Cleanup(func() {
+		tr.d.Close()
+		tr.Close()
+	})
 	return tr, reg, peers
 }
 
-// startWriter starts the rig's writer on its ring.
+// endTurn runs what the rig's loop turn armed — the hand-off, and
+// nothing else the rig schedules — as the driver would at the end of a
+// turn.
+func (t *Transport) endTurn() { t.d.Sim().Run() }
+
+// startWriter starts the rig's writer.
 func (t *Transport) startWriter() {
 	t.writerWG.Add(1)
-	go t.writeLoop(t.sendQs[0])
+	go t.writeLoop()
 }
 
 // splitFrames is the test's own reading of the datagram layer: a
@@ -289,6 +241,11 @@ func splitFrames(d []byte) [][]byte {
 // there or 5 s pass. Start it before the writer; the returned function
 // waits and yields each peer's datagrams.
 func receiveDatagrams(peers []*net.UDPConn, want int) func() [][][]byte {
+	return receiveFor(peers, want, 5*time.Second)
+}
+
+// receiveFor is receiveDatagrams with the read deadline d.
+func receiveFor(peers []*net.UDPConn, want int, d time.Duration) func() [][][]byte {
 	out := make([][][]byte, len(peers))
 	var wg sync.WaitGroup
 	for i, pc := range peers {
@@ -297,7 +254,7 @@ func receiveDatagrams(peers []*net.UDPConn, want int) func() [][][]byte {
 		go func() {
 			defer wg.Done()
 			buf := make([]byte, 2*maxDatagram)
-			_ = pc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_ = pc.SetReadDeadline(time.Now().Add(d))
 			for frames := 0; frames < want; {
 				n, err := pc.Read(buf)
 				if err != nil {
@@ -312,39 +269,34 @@ func receiveDatagrams(peers []*net.UDPConn, want int) func() [][][]byte {
 	return func() [][][]byte { wg.Wait(); return out }
 }
 
-// TestWriterBundlesPerPeer queues frames for two peers, interleaved and
-// of mixed sizes up to a full chunk, before the writer starts, so one
-// burst takes them all. Each peer must receive its frames unaltered and
-// in queue order across several bundles, no datagram may exceed
-// maxDatagram, the full chunk must leave alone and unchanged, the
-// counters must match what arrived, and every buffer reference the ring
-// held must be released.
+// TestWriterBundlesPerPeer queues frames for two peers in one turn,
+// interleaved and of mixed sizes up to a full chunk, and hands them off
+// before the writer starts, so one batch takes them all. Each peer must
+// receive its frames unaltered and in queue order across several
+// bundles, no datagram may exceed maxDatagram, the full chunk must leave
+// alone and unchanged, and the counters must match what arrived.
 func TestWriterBundlesPerPeer(t *testing.T) {
 	const perPeer = 90
-	tr, reg, peers := newWriterRig(t, 2*perPeer, 2)
+	tr, reg, peers := newWriterRig(t, 2)
 	sizes := []int{20, 200, 2000}
 	full := perPeer / 2
 	var sent [2][][]byte
-	var bufs []*wire.Buffer
 	for k := 0; k < perPeer; k++ {
-		for p, pc := range peers {
+		for p := range peers {
 			size := sizes[k%len(sizes)]
 			if k == full {
 				size = maxDatagram
 			}
-			b := wire.GetBuffer()
-			b.B = append(b.B, bytes.Repeat([]byte{byte(p)}, size)...)
-			writeFragHeader(b.B, uint64(k), 0, 1)
-			b.Retain() // the audit's own reference
-			bufs = append(bufs, b)
-			sent[p] = append(sent[p], b.B)
-			tr.dispatch(sendReq{data: b.B, buf: b, to: addrPort(pc)})
+			f := bytes.Repeat([]byte{byte(p)}, size)
+			writeFragHeader(f, uint64(k), 0, 1)
+			sent[p] = append(sent[p], f)
+			tr.dispatch(p, f)
 		}
 	}
+	tr.endTurn()
 	wait := receiveDatagrams(peers, perPeer)
 	tr.startWriter()
 	got := wait()
-	tr.Close() // the writer has returned: every release it makes is done
 
 	datagrams, bundled := 0, 0
 	for p, dgs := range got {
@@ -380,12 +332,6 @@ func TestWriterBundlesPerPeer(t *testing.T) {
 		t.Errorf("counted %d datagrams, %d bundled frames; received %d, %d",
 			totals["rtnet_datagrams_sent_total"], totals["rtnet_bundled_frames_total"], datagrams, bundled)
 	}
-	for i, b := range bufs {
-		if r := b.Refs(); r != 1 {
-			t.Fatalf("buffer %d holds %d references after the write, want the audit's 1", i, r)
-		}
-		b.Release()
-	}
 }
 
 // TestWriterLoneFrameUnchanged: a frame with nothing queued beside it
@@ -393,12 +339,13 @@ func TestWriterBundlesPerPeer(t *testing.T) {
 // transport wrote for every frame before it bundled any.
 func TestWriterLoneFrameUnchanged(t *testing.T) {
 	registerFragTestMsg()
-	tr, reg, peers := newWriterRig(t, 4, 1)
+	tr, reg, peers := newWriterRig(t, 1)
 	env := envelope{From: 0, Addr: "hwg/1", Msg: &fragTestMsg{Data: []byte("alone")}}
 	chunks, buf := tr.encodeChunks(&env)
-	want := bytes.Clone(chunks[0].data)
-	tr.sendChunks(1, addrPort(peers[0]), chunks)
-	buf.Release()
+	want := bytes.Clone(chunks[0])
+	tr.sendChunks(0, chunks)
+	tr.hold(buf)
+	tr.endTurn()
 	wait := receiveDatagrams(peers, 1)
 	tr.startWriter()
 	if dgs := wait()[0]; len(dgs) != 1 || !bytes.Equal(dgs[0], want) {
@@ -410,11 +357,12 @@ func TestWriterLoneFrameUnchanged(t *testing.T) {
 }
 
 // TestDupTwinsBundledBothDeliver: under dup=1 the fault plan queues every
-// frame twice. When the twins leave in one bundle, the receiver must
-// decode and deliver both, as it does when each is a datagram of its own.
+// frame twice in the same turn, so the twins leave in one bundle. The
+// receiver must decode and deliver both, as it does when each is a
+// datagram of its own.
 func TestDupTwinsBundledBothDeliver(t *testing.T) {
 	registerFragTestMsg()
-	tx, txReg, peers := newWriterRig(t, 4, 1)
+	tx, txReg, peers := newWriterRig(t, 1)
 	fs, err := faults.Parse("dup=1")
 	if err != nil {
 		t.Fatal(err)
@@ -435,6 +383,7 @@ func TestDupTwinsBundledBothDeliver(t *testing.T) {
 	defer rx.Close()
 
 	tx.Unicast(0, 1, "ns/0", &fragTestMsg{Data: []byte("twin")})
+	tx.endTurn()
 	tx.startWriter()
 	for i := 0; i < 2; i++ {
 		select {
@@ -454,37 +403,110 @@ func TestDupTwinsBundledBothDeliver(t *testing.T) {
 	}
 }
 
-// TestSendRefsReleasedOnClose closes a started transport while its
-// writers are mid-burst: every buffer reference taken from the rings
-// must still be released, whether its frame was written, failed on the
-// closed socket, overflowed, or was left queued for Close to drain. The
-// -race run checks the hand-offs.
-func TestSendRefsReleasedOnClose(t *testing.T) {
-	var to []netip.AddrPort
-	for i := 0; i < 3; i++ {
-		to = append(to, addrPort(listenLoopback(t)))
+// payloads decodes each frame of a peer's datagrams as a one-fragment
+// fragTestMsg envelope and returns the payloads in arrival order.
+func payloads(t *testing.T, dgs [][]byte) []string {
+	t.Helper()
+	var out []string
+	for _, d := range dgs {
+		for _, f := range splitFrames(d) {
+			env, err := decodeEnvelope(f[fragHeader:])
+			if err != nil {
+				t.Fatalf("frame %x: %v", f, err)
+			}
+			out = append(out, string(env.Msg.(*fragTestMsg).Data))
+		}
 	}
-	for round := 0; round < 20; round++ {
-		tr := NewTransport(NewDriver(1), 0, listenLoopback(t), nil)
-		tr.Start()
-		b := wire.GetBuffer()
-		b.B = append(b.B, make([]byte, 300)...)
-		writeFragHeader(b.B, 1, 0, 1)
-		for i := 0; i < 600; i++ {
-			b.Retain()
-			tr.dispatch(sendReq{data: b.B, buf: b, to: to[i%len(to)]})
+	return out
+}
+
+// TestOneTurnOneDatagramPerPeer: twenty small multicasts made in one
+// Driver.Call are one loop turn, so they cross to the writer in one
+// hand-off and each peer reads exactly one bundle of all twenty frames,
+// in the order they were sent — however the writer is scheduled.
+func TestOneTurnOneDatagramPerPeer(t *testing.T) {
+	registerFragTestMsg()
+	const msgs = 20
+	tr, reg, peers := newWriterRig(t, 2)
+	tr.Start()
+	tr.d.Start()
+	var want []string
+	for k := 0; k < msgs; k++ {
+		want = append(want, fmt.Sprintf("m%02d", k))
+	}
+	tr.d.Call(func() {
+		for _, m := range want {
+			tr.Multicast(0, "hwg/1", &fragTestMsg{Data: []byte(m)})
 		}
-		time.Sleep(time.Duration(round) * 20 * time.Microsecond)
-		tr.Close()
-		if r := b.Refs(); r != 1 {
-			t.Fatalf("round %d: %d references outlive Close", round, r-1)
+	})
+	// Read until a second datagram would have had ample time to arrive.
+	got := receiveFor(peers, msgs+1, 300*time.Millisecond)()
+	for p, dgs := range got {
+		if len(dgs) != 1 || len(splitFrames(dgs[0])) != msgs {
+			t.Fatalf("peer %d read %d datagrams (first with %d frames), want one bundle of %d",
+				p, len(dgs), len(splitFrames(dgs[0])), msgs)
 		}
-		b.Release()
+		if ps := payloads(t, dgs); !slices.Equal(ps, want) {
+			t.Fatalf("peer %d payloads %q, want %q", p, ps, want)
+		}
+	}
+	if n := reg.Totals()["rtnet_datagrams_sent_total"]; n != 2 {
+		t.Fatalf("%d datagrams sent, want 2", n)
+	}
+}
+
+// TestDelayedFrameOutlivesItsBuffer: a frame the fault plan delays leaves
+// in a later turn, after the pooled buffer it was encoded into has gone
+// back to the pool and been reused by later sends of the same size. It
+// must still arrive byte for byte as it was encoded.
+func TestDelayedFrameOutlivesItsBuffer(t *testing.T) {
+	registerFragTestMsg()
+	const later = 50
+	tr, _, peers := newWriterRig(t, 1)
+	fs, err := faults.Parse("delay=100ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetFaults(fs)
+	tr.Start()
+	tr.d.Start()
+
+	msg := func(c byte) *fragTestMsg { return &fragTestMsg{Data: bytes.Repeat([]byte{c}, 200)} }
+	env := envelope{From: 0, Addr: "ns/0", Uni: true, Msg: msg('d')}
+	wb, err := encodeEnvelopeFramed(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFragHeader(wb.B, 1, 0, 1) // the transport's first message
+	delayed := bytes.Clone(wb.B)
+	wb.Release()
+
+	wait := receiveDatagrams(peers, later+1)
+	tr.d.Call(func() { tr.Unicast(0, 1, "ns/0", msg('d')) })
+	tr.SetFaults(nil)
+	for k := 0; k < later; k++ {
+		tr.d.Call(func() { tr.Unicast(0, 1, "ns/0", msg('x')) })
+	}
+	var frames [][]byte
+	for _, d := range wait()[0] {
+		frames = append(frames, splitFrames(d)...)
+	}
+	if len(frames) != later+1 {
+		t.Fatalf("peer read %d frames, want %d", len(frames), later+1)
+	}
+	same := 0
+	for _, f := range frames {
+		if bytes.Equal(f, delayed) {
+			same++
+		}
+	}
+	if same != 1 {
+		t.Fatalf("%d of %d frames are the delayed one as encoded, want 1", same, len(frames))
 	}
 }
 
 // TestNoGoroutineOutlivesClose pins the shutdown order — the reader
-// exits, the writers exit, the rings drain — by counting goroutines: once
+// exits, then the writer — by counting goroutines: once
 // every node of a cluster that carried fragmenting traffic is closed, the
 // process is back to the goroutines it had before the first Listen.
 func TestNoGoroutineOutlivesClose(t *testing.T) {

@@ -11,9 +11,10 @@
 //	driver loop (single goroutine)
 //	subscription filter, partition filter, handler upcalls,
 //	protocol stacks, fault-injection decisions, encode + fragment
-//	       │ sendChunks → send rings (bounded, sharded by peer)
+//	       │ sendChunks → the turn's frames, per peer
+//	       │ handOff (one per loop turn) → outbox
 //	       ▼
-//	writer goroutines: take what is queued, bundle per peer
+//	writer goroutine: take the outbox, bundle per peer
 //	       │ WriteToUDPAddrPort
 //	       ▼
 //	   UDP socket
@@ -28,34 +29,34 @@
 //     table's drop/duplicate/delay plan — runs on the loop, in the
 //     order the protocol sends, so a seed replays the identical fault
 //     schedule and lwgcheck -rtnet reproducers stay deterministic.
-//     Writers only move already-decided bytes.
-//   - Encoded single-datagram messages fan out to N peers as one
-//     reference-counted wire.Buffer (the fragment header is written in
-//     place); the last writer to finish releases it to the pool.
-//   - The send path shards by destination: each writer owns one ring
-//     and each peer maps to one ring, so a peer's frames leave in FIFO
-//     order. (A single shared ring with concurrent writers would
-//     reorder adjacent same-peer frames on every send; the
-//     protocols treat reordering as rare transport misbehaviour to
-//     repair, not a steady state to live under.)
-//   - A writer that wakes for one frame also takes whatever else is
-//     already on its ring, without waiting for more, and packs each
-//     peer's frames, in order, into datagrams of at most maxDatagram
-//     bytes. A frame that travels alone leaves byte for byte as it was
-//     queued, so bundling changes the number of writes, never the frames
-//     or the fault plan that chose them.
-//   - The rings are bounded: when a writer falls behind, enqueue drops
-//     the frame and counts rtnet_send_ring_overflow_total instead
-//     of blocking the protocol loop. UDP loss is already part of the
-//     model; the vsync NACK machinery repairs it.
-//   - The receive side has no queue of its own: the reader never blocks
-//     on the loop (the driver inbox is unbounded), and while it decodes,
+//     The writer only moves already-decided bytes.
+//   - Encoded single-datagram messages fan out to N peers as one pooled
+//     wire.Buffer (the fragment header is written in place). The turn
+//     that queued its frames hands the buffer off with them, and the
+//     writer releases it once, after writing every frame of the batch.
+//     A frame the fault plan delays past its turn is copied when it is
+//     planned, so no pooled buffer outlives its batch.
+//   - The loop queues each turn's frames per peer and, at the end of the
+//     turn (a zero-delay event, which the driver runs after the inbox
+//     batch it just drained), appends them to the outbox in one
+//     hand-off. One writer takes the whole outbox at a time and packs
+//     each peer's frames, in order, into datagrams of at most
+//     maxDatagram bytes, so a peer's frames leave in FIFO order. A frame
+//     that travels alone leaves byte for byte as it was queued, so
+//     bundling changes the number of writes, never the frames or the
+//     fault plan that chose them.
+//   - Neither side has a queue that drops. The outbox is unbounded, like
+//     the driver inbox: when the writer falls behind it blocks in the
+//     kernel's send buffer while the outbox grows, and the loop never
+//     blocks. The reader never blocks on the loop, and while it decodes,
 //     arriving datagrams wait in the socket buffer, the component sized
-//     to absorb bursts.
+//     to absorb bursts. UDP loss is part of the model; the vsync NACK
+//     machinery repairs it.
 //
 // Shutdown ordering: Close closes t.closed and the socket; the reader
-// unblocks and exits; writers exit on t.closed; Close then drains any
-// requests left in the rings to release their buffers.
+// unblocks and exits; the writer exits on t.closed. What the writer had
+// not taken is dropped with the transport, and a hand-off after Close
+// drops its frames.
 package rtnet
 
 import (
@@ -101,33 +102,25 @@ const (
 	envFlagMask      = envFlagTC | envFlagUni
 )
 
-const (
-	// sendWriters is the number of writer goroutines. Each drains its
-	// own send-ring shard and peers map to shards by address hash,
-	// preserving per-peer frame order.
-	sendWriters = 2
-	// sendRingSize bounds the send rings' total capacity across shards,
-	// in frames. When a destination's shard is full the frame is
-	// dropped and counted in rtnet_send_ring_overflow_total — explicit
-	// backpressure instead of silently blocking the protocol loop.
-	sendRingSize = 4096
-)
-
-// sendChunk is one frame of an encoded message, pre-fault-plan. When
-// buf is non-nil, data aliases the refcounted buffer and every enqueue
-// must Retain it; when nil, data is a GC-owned slice shared freely.
-type sendChunk struct {
-	data []byte
-	buf  *wire.Buffer
+// sendBatch is frames waiting for the writer, per peer (indexed like
+// Transport.order), and the pooled buffers those frames point into, each
+// listed once.
+type sendBatch struct {
+	frames [][][]byte
+	bufs   []*wire.Buffer
+	n      int // frames across all peers
 }
 
-// sendReq is one frame on the send ring. The request owns one
-// reference on buf (when non-nil); whoever finishes with the request —
-// writer, overflow drop, or shutdown drain — releases it.
-type sendReq struct {
-	data []byte
-	buf  *wire.Buffer
-	to   netip.AddrPort
+// reset empties the batch, keeping its arrays and dropping the
+// references they held.
+func (b *sendBatch) reset() {
+	for i := range b.frames {
+		clear(b.frames[i])
+		b.frames[i] = b.frames[i][:0]
+	}
+	clear(b.bufs)
+	b.bufs = b.bufs[:0]
+	b.n = 0
 }
 
 // Transport is a netsim.Transport over UDP. Multicast is emulated by
@@ -135,12 +128,15 @@ type sendReq struct {
 // subscriptions, which matches the semantics of the simulated network
 // (and of IP multicast on a LAN segment).
 type Transport struct {
-	d       *Driver
-	pid     ids.ProcessID
-	conn    *net.UDPConn
-	peers   map[ids.ProcessID]*net.UDPAddr
-	peersAP map[ids.ProcessID]netip.AddrPort
-	order   []ids.ProcessID // deterministic fan-out order
+	d     *Driver
+	pid   ids.ProcessID
+	conn  *net.UDPConn
+	peers map[ids.ProcessID]*net.UDPAddr
+	order []ids.ProcessID // deterministic fan-out order
+	// addrs and peerIdx index the peers like order: addrs[i] is
+	// order[i]'s address, and peerIdx maps a process to its i.
+	addrs   []netip.AddrPort
+	peerIdx map[ids.ProcessID]int
 
 	// Loop-confined state.
 	subs    map[netsim.Addr]bool
@@ -152,7 +148,22 @@ type Transport struct {
 	// chunkScratch is the loop-confined scratch slice encodeChunks
 	// reuses across messages, so steady-state sends allocate no chunk
 	// headers.
-	chunkScratch []sendChunk
+	chunkScratch [][]byte
+
+	// turn is what this loop turn has queued for the writer
+	// (loop-confined). A non-empty turn has handOff armed.
+	turn sendBatch
+	// handOffFn is t.handOff, bound once so arming it allocates no
+	// method value.
+	handOffFn func()
+
+	// outMu guards out, the frames hand-offs queued and the writer has
+	// not taken yet. kick wakes the writer; its one slot means a poke
+	// never blocks the loop and pokes made while the writer works
+	// coalesce.
+	outMu sync.Mutex
+	out   sendBatch
+	kick  chan struct{}
 
 	// faults injects per-link loss/dup/reorder/delay/one-way-block on
 	// the send path; a partition is a set of link Block rules. Mutable
@@ -176,13 +187,6 @@ type Transport struct {
 	inTC   wire.TraceCtx
 	inTCOK bool
 
-	// sendQs are the send rings, one per writer, sharded by destination
-	// so each peer's datagrams stay FIFO (concurrent writers draining one
-	// shared ring would reorder adjacent datagrams to the same peer on
-	// every send, which the protocols tolerate as rare transport
-	// misbehaviour, not as the steady state). Built by Start.
-	sendQs []chan sendReq
-
 	// ins holds the wire-level instruments. Counters are atomic and
 	// nil-safe, so the reader goroutine and timer callbacks may bump
 	// them without coordination.
@@ -200,36 +204,32 @@ var _ netsim.Transport = (*Transport)(nil)
 // metrics disabled every field is nil and the nil-receiver methods
 // no-op.
 type transportMetrics struct {
-	dgramsSent       *metrics.Counter
-	bytesSent        *metrics.Counter
-	dgramsRecv       *metrics.Counter
-	bytesRecv        *metrics.Counter
-	faultDrops       *metrics.Counter
-	dgramsMalformed  *metrics.Counter
-	sendErrors       *metrics.Counter
-	sendRingOverflow *metrics.Counter
-	bundledFrames    *metrics.Counter
-	sendRingDepth    *metrics.Gauge
-	traceCtxSent     *metrics.Counter
-	traceCtxRecv     *metrics.Counter
+	dgramsSent      *metrics.Counter
+	bytesSent       *metrics.Counter
+	dgramsRecv      *metrics.Counter
+	bytesRecv       *metrics.Counter
+	faultDrops      *metrics.Counter
+	dgramsMalformed *metrics.Counter
+	sendErrors      *metrics.Counter
+	bundledFrames   *metrics.Counter
+	traceCtxSent    *metrics.Counter
+	traceCtxRecv    *metrics.Counter
 }
 
 // Instrument resolves the transport's counters from the registry (nil
 // disables them). Call before Start.
 func (t *Transport) Instrument(r *metrics.Registry) {
 	t.ins = transportMetrics{
-		dgramsSent:       r.Counter("rtnet_datagrams_sent_total"),
-		bytesSent:        r.Counter("rtnet_bytes_sent_total"),
-		dgramsRecv:       r.Counter("rtnet_datagrams_recv_total"),
-		bytesRecv:        r.Counter("rtnet_bytes_recv_total"),
-		faultDrops:       r.Counter("rtnet_fault_drops_total"),
-		dgramsMalformed:  r.Counter("rtnet_datagrams_malformed_total"),
-		sendErrors:       r.Counter("rtnet_send_errors_total"),
-		sendRingOverflow: r.Counter("rtnet_send_ring_overflow_total"),
-		bundledFrames:    r.Counter("rtnet_bundled_frames_total"),
-		sendRingDepth:    r.Gauge("rtnet_send_ring_depth"),
-		traceCtxSent:     r.Counter("rtnet_trace_ctx_sent_total"),
-		traceCtxRecv:     r.Counter("rtnet_trace_ctx_recv_total"),
+		dgramsSent:      r.Counter("rtnet_datagrams_sent_total"),
+		bytesSent:       r.Counter("rtnet_bytes_sent_total"),
+		dgramsRecv:      r.Counter("rtnet_datagrams_recv_total"),
+		bytesRecv:       r.Counter("rtnet_bytes_recv_total"),
+		faultDrops:      r.Counter("rtnet_fault_drops_total"),
+		dgramsMalformed: r.Counter("rtnet_datagrams_malformed_total"),
+		sendErrors:      r.Counter("rtnet_send_errors_total"),
+		bundledFrames:   r.Counter("rtnet_bundled_frames_total"),
+		traceCtxSent:    r.Counter("rtnet_trace_ctx_sent_total"),
+		traceCtxRecv:    r.Counter("rtnet_trace_ctx_recv_total"),
 	}
 }
 
@@ -315,8 +315,10 @@ func NewTransport(d *Driver, pid ids.ProcessID, conn *net.UDPConn, peers map[ids
 		conn:   conn,
 		subs:   make(map[netsim.Addr]bool),
 		faults: newFaultTable(1),
+		kick:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
 	}
+	t.handOffFn = t.handOff
 	filtered := make(map[ids.ProcessID]*net.UDPAddr, len(peers))
 	for p, a := range peers {
 		if p == pid {
@@ -332,58 +334,42 @@ func NewTransport(d *Driver, pid ids.ProcessID, conn *net.UDPConn, peers map[ids
 // send path to avoid per-datagram conversions). Call before Start.
 func (t *Transport) setPeers(peers map[ids.ProcessID]*net.UDPAddr) {
 	t.peers = peers
-	t.peersAP = make(map[ids.ProcessID]netip.AddrPort, len(peers))
 	t.order = t.order[:0]
-	for p, a := range peers {
-		// Unmap 4-in-6 addresses (UDPAddr.AddrPort yields ::ffff:a.b.c.d
-		// for IPv4): an AF_INET socket rejects the mapped form.
-		ap := a.AddrPort()
-		t.peersAP[p] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	for p := range peers {
 		t.order = append(t.order, p)
 	}
 	t.order = []ids.ProcessID(ids.NewMembers(t.order...))
+	t.addrs = make([]netip.AddrPort, len(t.order))
+	t.peerIdx = make(map[ids.ProcessID]int, len(t.order))
+	for i, p := range t.order {
+		// Unmap 4-in-6 addresses (UDPAddr.AddrPort yields ::ffff:a.b.c.d
+		// for IPv4): an AF_INET socket rejects the mapped form.
+		ap := peers[p].AddrPort()
+		t.addrs[i] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		t.peerIdx[p] = i
+	}
+	t.turn = sendBatch{frames: make([][][]byte, len(t.order))}
+	t.out = sendBatch{frames: make([][][]byte, len(t.order))}
 }
 
 // SetHandler installs the node's message dispatcher (typically a
 // netsim.Mux handler). Must be called before Start.
 func (t *Transport) SetHandler(h netsim.Handler) { t.handler = h }
 
-// Start launches the data plane: the send-ring writers and the UDP
-// reader.
+// Start launches the data plane: the writer and the UDP reader.
 func (t *Transport) Start() {
-	t.sendQs = make([]chan sendReq, sendWriters)
-	for i := range t.sendQs {
-		t.sendQs[i] = make(chan sendReq, sendRingSize/sendWriters)
-	}
-	for _, q := range t.sendQs {
-		t.writerWG.Add(1)
-		go t.writeLoop(q)
-	}
+	t.writerWG.Add(1)
+	go t.writeLoop()
 	t.readerWG.Add(1)
 	go t.readLoop()
 }
 
-// Close shuts the data plane down: the reader exits, then the writers
-// stop, then any requests still queued on the rings are drained so their
-// buffers return to the pool.
+// Close shuts the data plane down: the reader exits, then the writer.
 func (t *Transport) Close() {
 	t.closeOnce.Do(func() { close(t.closed) })
 	_ = t.conn.Close()
 	t.readerWG.Wait()
 	t.writerWG.Wait()
-	for _, q := range t.sendQs {
-	drain:
-		for {
-			select {
-			case req := <-q:
-				if req.buf != nil {
-					req.buf.Release()
-				}
-			default:
-				break drain
-			}
-		}
-	}
 }
 
 // LocalAddr returns the bound UDP address.
@@ -423,20 +409,54 @@ func (t *Transport) SetFaults(fs *faults.Spec) { t.faults.install(fs) }
 // from any goroutine.
 func (t *Transport) SetLinkFault(to ids.ProcessID, r *faults.Rule) { t.faults.setLink(to, r) }
 
-// dispatch hands one frame to the wire: a non-blocking enqueue on the
-// destination's send-ring shard, dropping (with the overflow counter)
-// when that writer has fallen a full ring behind. Takes ownership of
-// the request's buffer reference.
-func (t *Transport) dispatch(req sendReq) {
-	q := t.sendQs[apHash(req.to)%uint32(len(t.sendQs))]
+// dispatch queues one frame for the peer at index i of order; the first
+// frame of a loop turn arms the turn's hand-off. Loop-confined.
+func (t *Transport) dispatch(i int, frame []byte) {
+	if t.turn.n == 0 {
+		t.d.Sim().After(0, t.handOffFn)
+	}
+	t.turn.frames[i] = append(t.turn.frames[i], frame)
+	t.turn.n++
+}
+
+// hold keeps a pooled buffer until the writer has written the frames
+// this turn queued from it; with nothing queued it goes back to the pool
+// at once. Loop-confined.
+func (t *Transport) hold(b *wire.Buffer) {
+	if b == nil {
+		return
+	}
+	if t.turn.n == 0 {
+		b.Release()
+		return
+	}
+	t.turn.bufs = append(t.turn.bufs, b)
+}
+
+// handOff moves the turn's frames and buffers to the outbox and wakes
+// the writer. It runs on the loop as the zero-delay event dispatch
+// armed, so everything one turn sent crosses to the writer together.
+func (t *Transport) handOff() {
+	if t.turn.n == 0 {
+		return
+	}
 	select {
-	case q <- req:
-		t.ins.sendRingDepth.Set(int64(len(q)))
+	case <-t.closed:
+		t.turn.reset()
+		return
 	default:
-		t.ins.sendRingOverflow.Inc()
-		if req.buf != nil {
-			req.buf.Release()
-		}
+	}
+	t.outMu.Lock()
+	for i, fs := range t.turn.frames {
+		t.out.frames[i] = append(t.out.frames[i], fs...)
+	}
+	t.out.bufs = append(t.out.bufs, t.turn.bufs...)
+	t.out.n += t.turn.n
+	t.outMu.Unlock()
+	t.turn.reset()
+	select {
+	case t.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -455,127 +475,97 @@ func (t *Transport) write(datagram []byte, to netip.AddrPort) {
 	t.countSend(len(datagram))
 }
 
-// writeLoop is one send-ring writer. Each wake-up takes the request that
-// woke it plus whatever is already queued — at most one ring's worth,
-// and never waiting for more — and writes them as one burst.
-func (t *Transport) writeLoop(q chan sendReq) {
+// writeLoop is the writer. Each wake-up swaps the whole outbox for the
+// batch it emptied last time and writes it.
+func (t *Transport) writeLoop() {
 	defer t.writerWG.Done()
-	var (
-		reqs   []sendReq // the current burst, reused across wake-ups
-		bundle []byte    // bundle assembly scratch, reused likewise
-	)
+	batch := sendBatch{frames: make([][][]byte, len(t.order))}
+	var bundle []byte // bundle assembly scratch, reused across batches
 	for {
 		select {
 		case <-t.closed:
 			return
-		case req := <-q:
-			reqs = append(reqs[:0], req)
-		drain:
-			for len(reqs) < cap(q) {
-				select {
-				case req := <-q:
-					reqs = append(reqs, req)
-				default:
-					break drain
-				}
-			}
-			bundle = t.writeBurst(reqs, bundle)
+		case <-t.kick:
 		}
+		batch = t.takeOutbox(batch)
+		bundle = t.writeBatch(&batch, bundle)
 	}
 }
 
-// writeBurst writes a burst of send requests and releases every
-// request's buffer reference. Per destination, in ring order, it packs
-// consecutive frames into one bundle while the bundle stays within
-// maxDatagram; a frame that no later frame for its peer fits beside
-// goes out alone, unchanged. Requests to different peers may leave in a different order
-// than they were queued; those to one peer never do. bundle is scratch
-// for assembling bundles; the grown scratch is returned for reuse.
-func (t *Transport) writeBurst(reqs []sendReq, bundle []byte) []byte {
-	for i := range reqs {
-		if reqs[i].data == nil {
-			continue // already written in an earlier bundle
-		}
-		to := reqs[i].to
-		size, last, n := len(bundleMagic)+bundledSize(reqs[i].data), i, 1
-		for j := i + 1; j < len(reqs); j++ {
-			if reqs[j].data == nil || reqs[j].to != to {
-				continue
-			}
-			s := bundledSize(reqs[j].data)
-			if size+s > maxDatagram {
-				break
-			}
-			size, last, n = size+s, j, n+1
+// takeOutbox swaps the outbox for empty and returns what it held.
+func (t *Transport) takeOutbox(empty sendBatch) sendBatch {
+	t.outMu.Lock()
+	defer t.outMu.Unlock()
+	b := t.out
+	t.out = empty
+	return b
+}
+
+// writeBatch writes every peer's frames, releases the batch's buffers
+// and empties it. bundle is scratch for assembling bundles; the grown
+// scratch is returned for reuse.
+func (t *Transport) writeBatch(b *sendBatch, bundle []byte) []byte {
+	for i, fs := range b.frames {
+		bundle = t.writePeer(fs, t.addrs[i], bundle)
+	}
+	for _, buf := range b.bufs {
+		buf.Release()
+	}
+	b.reset()
+	return bundle
+}
+
+// writePeer writes one peer's frames in order, packing consecutive
+// frames into one bundle while it stays within maxDatagram; a frame that
+// the next frame does not fit beside goes out alone, unchanged.
+func (t *Transport) writePeer(frames [][]byte, to netip.AddrPort, bundle []byte) []byte {
+	for len(frames) > 0 {
+		size, n := len(bundleMagic)+bundledSize(frames[0]), 1
+		for n < len(frames) && size+bundledSize(frames[n]) <= maxDatagram {
+			size += bundledSize(frames[n])
+			n++
 		}
 		if n == 1 {
-			t.write(reqs[i].data, to)
-			if reqs[i].buf != nil {
-				reqs[i].buf.Release()
+			t.write(frames[0], to)
+		} else {
+			bundle = append(bundle[:0], bundleMagic[:]...)
+			for _, f := range frames[:n] {
+				bundle = binary.AppendUvarint(bundle, uint64(len(f)))
+				bundle = append(bundle, f...)
 			}
-			reqs[i] = sendReq{}
-			continue
+			t.write(bundle, to)
+			t.ins.bundledFrames.Add(int64(n))
 		}
-		bundle = append(bundle[:0], bundleMagic[:]...)
-		for j := i; j <= last; j++ {
-			if reqs[j].data == nil || reqs[j].to != to {
-				continue
-			}
-			bundle = binary.AppendUvarint(bundle, uint64(len(reqs[j].data)))
-			bundle = append(bundle, reqs[j].data...)
-			if reqs[j].buf != nil {
-				reqs[j].buf.Release()
-			}
-			reqs[j] = sendReq{}
-		}
-		t.write(bundle, to)
-		t.ins.bundledFrames.Add(int64(n))
+		frames = frames[n:]
 	}
 	return bundle
 }
 
-// sendChunks pushes the datagrams of one message to one peer through
-// the fault table: drop, duplicate, or delay each chunk as the link's
-// rule dictates. Must be called on the driver loop — the fault plan
-// consumes the deterministic RNG, and keeping that on-loop is what
-// makes a seed replay the identical fault schedule regardless of how
-// many writer goroutines move the bytes afterwards.
-func (t *Transport) sendChunks(to ids.ProcessID, addr netip.AddrPort, chunks []sendChunk) {
+// sendChunks pushes the datagrams of one message to the peer at index i
+// of order through the fault table: drop, duplicate, or delay each chunk
+// as the link's rule dictates. Must be called on the driver loop — the
+// fault plan consumes the deterministic RNG, and keeping that on-loop is
+// what makes a seed replay the identical fault schedule whatever the
+// writer does with the bytes afterwards. A delayed chunk is copied here:
+// it leaves in a later turn, after its pooled buffer went back.
+func (t *Transport) sendChunks(i int, chunks [][]byte) {
 	for _, c := range chunks {
-		send, delays := t.faults.plan(to)
+		send, delays := t.faults.plan(t.order[i])
 		if !send {
 			t.ins.faultDrops.Inc()
 			continue
 		}
 		if delays == nil {
-			if c.buf != nil {
-				c.buf.Retain()
-			}
-			t.dispatch(sendReq{data: c.data, buf: c.buf, to: addr})
+			t.dispatch(i, c)
 			continue
 		}
 		for _, d := range delays {
 			if d <= 0 {
-				if c.buf != nil {
-					c.buf.Retain()
-				}
-				t.dispatch(sendReq{data: c.data, buf: c.buf, to: addr})
+				t.dispatch(i, c)
 				continue
 			}
-			c := c
-			if c.buf != nil {
-				c.buf.Retain()
-			}
-			t.d.Sim().After(d, func() {
-				select {
-				case <-t.closed:
-					if c.buf != nil {
-						c.buf.Release()
-					}
-				default:
-					t.dispatch(sendReq{data: c.data, buf: c.buf, to: addr})
-				}
-			})
+			c := bytes.Clone(c)
+			t.d.Sim().After(d, func() { t.dispatch(i, c) })
 		}
 	}
 }
@@ -583,12 +573,12 @@ func (t *Transport) sendChunks(to ids.ProcessID, addr netip.AddrPort, chunks []s
 // encodeChunks encodes env and splits it into datagram chunks, bumping
 // the message counter. The common single-datagram case writes the
 // fragment header in place in the pooled encode buffer, so the fan-out
-// to N peers shares one refcounted buffer with zero copies; larger
-// messages fall back to per-chunk GC-owned slices. The scratch slice is
-// loop-confined and reused across messages; callers must hand it back
-// via t.chunkScratch = chunks[:0] after dispatching, and must Release
-// buf (when non-nil) to drop the encoder's own reference.
-func (t *Transport) encodeChunks(env *envelope) (chunks []sendChunk, buf *wire.Buffer) {
+// to N peers shares one buffer with zero copies; larger messages fall
+// back to per-chunk GC-owned slices. The scratch slice is loop-confined
+// and reused across messages; callers must hand it back via
+// t.chunkScratch = chunks[:0] after dispatching, and must pass buf to
+// hold.
+func (t *Transport) encodeChunks(env *envelope) (chunks [][]byte, buf *wire.Buffer) {
 	b, err := encodeEnvelopeFramed(env)
 	if err != nil {
 		t.sendFailed(env)
@@ -597,12 +587,9 @@ func (t *Transport) encodeChunks(env *envelope) (chunks []sendChunk, buf *wire.B
 	t.nextMsgID++
 	if len(b.B) <= fragHeader+fragPayload {
 		writeFragHeader(b.B, t.nextMsgID, 0, 1)
-		return append(t.chunkScratch[:0], sendChunk{data: b.B, buf: b}), b
+		return append(t.chunkScratch[:0], b.B), b
 	}
-	chunks = t.chunkScratch[:0]
-	for _, c := range fragment(t.nextMsgID, b.B[fragHeader:]) {
-		chunks = append(chunks, sendChunk{data: c})
-	}
+	chunks = append(t.chunkScratch[:0], fragment(t.nextMsgID, b.B[fragHeader:])...)
 	b.Release()
 	return chunks, nil
 }
@@ -619,12 +606,10 @@ func (t *Transport) Multicast(from netsim.NodeID, addr netsim.Addr, msg netsim.M
 	if chunks == nil {
 		return // counted by encodeChunks
 	}
-	for _, p := range t.order {
-		t.sendChunks(p, t.peersAP[p], chunks)
+	for i := range t.order {
+		t.sendChunks(i, chunks)
 	}
-	if buf != nil {
-		buf.Release()
-	}
+	t.hold(buf)
 	t.chunkScratch = chunks[:0]
 	if t.subs[addr] {
 		// Local delivery stays asynchronous, like a looped-back packet.
@@ -649,7 +634,7 @@ func (t *Transport) Unicast(from, to netsim.NodeID, addr netsim.Addr, msg netsim
 		})
 		return
 	}
-	peer, ok := t.peersAP[to]
+	i, ok := t.peerIdx[to]
 	if !ok {
 		return
 	}
@@ -659,10 +644,8 @@ func (t *Transport) Unicast(from, to netsim.NodeID, addr netsim.Addr, msg netsim
 	if chunks == nil {
 		return
 	}
-	t.sendChunks(to, peer, chunks)
-	if buf != nil {
-		buf.Release()
-	}
+	t.sendChunks(i, chunks)
+	t.hold(buf)
 	t.chunkScratch = chunks[:0]
 }
 
@@ -693,24 +676,6 @@ func (t *Transport) deliverEnv(env *envelope) {
 		t.handler(env.From, addr, env.Msg)
 	}
 	t.inTCOK = false
-}
-
-// apHash maps a peer to its send-ring shard (FNV-1a over the address
-// and port).
-func apHash(ap netip.AddrPort) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	a := ap.Addr().As16()
-	for _, c := range a {
-		h = (h ^ uint32(c)) * prime32
-	}
-	p := ap.Port()
-	h = (h ^ uint32(p&0xff)) * prime32
-	h = (h ^ uint32(p>>8)) * prime32
-	return h
 }
 
 // readLoop is the whole receive path: it reads, reassembles and decodes
@@ -783,11 +748,11 @@ func (t *Transport) decodeFrame(envs []envelope, reasm *reassembler, from netip.
 }
 
 // PipelineStats is a point-in-time snapshot of the data plane, served
-// by the /debug/rtnet endpoint. Queue lengths are sampled racily, which
-// is fine for observability.
+// by the /debug/rtnet endpoint.
 type PipelineStats struct {
-	SendWriters int `json:"send_writers"`
-	SendRingCap int `json:"send_ring_cap"`
+	// SendRingLen is the number of frames in the outbox: handed off by
+	// the loop, not yet taken by the writer. The field keeps its name
+	// for the readers that already scrape it.
 	SendRingLen int `json:"send_ring_len"`
 	// DecodeQueueLens holds the length of the one queue between the
 	// socket and the protocol: the driver inbox, as a one-element slice.
@@ -796,24 +761,18 @@ type PipelineStats struct {
 	DecodeQueueLens []int `json:"decode_queue_lens"`
 }
 
-// PipelineStats snapshots the data-plane configuration and queue
-// depths. Call after Start.
+// PipelineStats snapshots the data plane's queue depths.
 func (t *Transport) PipelineStats() PipelineStats {
-	st := PipelineStats{
-		SendWriters:     len(t.sendQs),
-		DecodeQueueLens: []int{t.d.inboxLen()},
-	}
-	for _, q := range t.sendQs {
-		st.SendRingCap += cap(q)
-		st.SendRingLen += len(q)
-	}
-	return st
+	t.outMu.Lock()
+	n := t.out.n
+	t.outMu.Unlock()
+	return PipelineStats{SendRingLen: n, DecodeQueueLens: []int{t.d.inboxLen()}}
 }
 
 // encodeEnvelopeFramed serializes the envelope into a pooled buffer
 // behind fragHeader bytes of zero-padding, so a message that fits one
 // datagram can have its fragment header written in place and the pooled
-// buffer handed to the writers directly — no per-chunk copy. The caller
+// buffer handed to the writer directly — no per-chunk copy. The caller
 // must Release the buffer.
 func encodeEnvelopeFramed(env *envelope) (*wire.Buffer, error) {
 	b := wire.GetBuffer()

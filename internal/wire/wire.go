@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Marshaler is implemented by messages the codec can encode.
@@ -124,47 +123,26 @@ func Decode(r *Reader) (Marshaler, error) {
 // --- encode buffer ---------------------------------------------------------
 
 // Buffer is an append-only encode buffer. Get it from the pool with
-// GetBuffer and return it with Release.
-//
-// Buffers are reference-counted so one encoded message can be handed to
-// several consumers (e.g. a UDP fan-out to N peers across goroutines)
-// without copying: each consumer holds a reference via Retain and drops
-// it with Release; the storage returns to the pool when the last
-// reference is released. Single-owner code can ignore Retain entirely —
-// GetBuffer returns a buffer with one reference and a matching Release
-// pools it, exactly as before.
+// GetBuffer and return it with Release, once, when nothing reads B or a
+// slice of it any more. A buffer whose bytes several consumers share
+// (a UDP fan-out to N peers) has one owner that releases it after the
+// last of them is done.
 type Buffer struct {
-	B    []byte
-	refs atomic.Int32
+	B []byte
 }
 
 var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 4096)} }}
 
-// GetBuffer returns an empty pooled buffer holding one reference.
+// GetBuffer returns an empty pooled buffer.
 func GetBuffer() *Buffer {
 	b := bufPool.Get().(*Buffer)
 	b.B = b.B[:0]
-	b.refs.Store(1)
 	return b
 }
 
-// Retain adds a reference. Safe from any goroutine.
-func (b *Buffer) Retain() { b.refs.Add(1) }
-
-// Release drops one reference and returns the buffer to the pool when
-// the count reaches zero. The releaser of the last reference must not
-// touch the buffer (or slices of B) afterwards. Safe from any
-// goroutine.
-func (b *Buffer) Release() {
-	if b.refs.Add(-1) == 0 {
-		bufPool.Put(b)
-	}
-}
-
-// Refs reports how many references the buffer holds, for leak audits:
-// a test that keeps one reference of its own can check that every
-// consumer released theirs.
-func (b *Buffer) Refs() int32 { return b.refs.Load() }
+// Release returns the buffer to the pool. Neither the buffer nor any
+// slice of B may be touched afterwards. Safe from any goroutine.
+func (b *Buffer) Release() { bufPool.Put(b) }
 
 // Byte appends one byte.
 func (b *Buffer) Byte(v byte) { b.B = append(b.B, v) }
