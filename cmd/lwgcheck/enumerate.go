@@ -108,14 +108,10 @@ func runEnumerate(out io.Writer, o enumOpts) error {
 
 	f := res.Findings[0]
 	fmt.Fprintf(out, "%d findings; first at depth %d\n", len(res.Findings), len(f.Schedule.Ops))
-	s := f.Schedule
 	if !o.noShrink {
-		fmt.Fprintf(out, "shrinking (%d ops)...\n", len(s.Ops))
-		s = explore.Shrink(s, func(c explore.Schedule) bool {
-			return explore.Run(c).Failed()
-		})
+		fmt.Fprintf(out, "shrinking (%d ops)...\n", len(f.Schedule.Ops))
 	}
-	report(out, s, explore.Run(s), false)
+	reproduce(out, explore.Clock{}, f.Schedule, o.noShrink)
 	if err := exportTrace(out, o.traceOut, f.Result.World.Events); err != nil {
 		return err
 	}

@@ -30,10 +30,15 @@
 //	lwgcheck -enumerate -scope n4g2c1 -budget 2000 -checkpoint sweep.ckpt
 //	lwgcheck -enumerate -scope n3g2 -depth 8 -par 8 -por=false -probe-memo=false
 //
-// The sweep runs -par expansion workers (default GOMAXPROCS) with
+// The enumeration runs -par expansion workers (default GOMAXPROCS) with
 // partial-order reduction and probe memoisation on; results are
 // identical at every -par value, and -por=false -probe-memo=false
 // reproduces the original exhaustive sweep exactly (see DESIGN §7).
+//
+// A seed sweep runs -par schedules at a time on either clock (default
+// GOMAXPROCS on the simulator, half the CPUs with -rtnet) and prints
+// each seed's line in seed order, so a simulator sweep's output is the
+// same at every -par.
 //
 // On failure the reproducer is printed in the replayable schedule format
 // and the exit status is 1.
@@ -49,7 +54,6 @@ import (
 
 	"plwg/internal/check"
 	"plwg/internal/explore"
-	"plwg/internal/faults"
 	"plwg/internal/trace"
 )
 
@@ -80,68 +84,44 @@ func run(args []string, out io.Writer) error {
 	rtMode := fs.Bool("rtnet", false, "run schedules over real UDP (loopback cluster) instead of the simulator")
 	faultSpec := fs.String("faults", "", "fault spec installed on every link, on either clock (grammar: faults.Parse; default clean, or '"+defaultRTFaults+"' with -rtnet)")
 	rtScale := fs.Float64("rtscale", 0.1, "virtual-to-real time scale for -rtnet op delays")
-	par := fs.Int("par", max(1, runtime.NumCPU()/2), "concurrent schedules for -rtnet; expansion workers for -enumerate (default GOMAXPROCS there)")
+	par := fs.Int("par", 0, "concurrent schedules in a sweep, or expansion workers for -enumerate (0 = GOMAXPROCS on the simulator, half the CPUs with -rtnet)")
 	traceOut := fs.String("trace", "", "export one run's trace events to this file (.json = Chrome trace, otherwise JSONL) and explain the stitched protocol operations; a sweep exports its first failing run, or the last seed when all pass")
 	enum := fs.Bool("enumerate", false, "bounded model checking: enumerate every schedule of a small scope instead of sweeping random seeds")
-	scope := fs.String("scope", "n3g2", "enumeration scope, n<nodes>g<groups>[c<crashes>]")
-	depth := fs.Int("depth", 12, "enumeration op-prefix depth bound")
-	budget := fs.Int("budget", 0, "enumeration run budget per invocation (0 = run until the scope is swept)")
-	checkpoint := fs.String("checkpoint", "", "enumeration checkpoint file: resumed when present, written when the budget stops the sweep early")
-	por := fs.Bool("por", true, "enumeration: partial-order reduction (sleep sets); -por=false sweeps the unreduced graph")
-	probeMemo := fs.Bool("probe-memo", true, "enumeration: probe-trajectory memoisation; -probe-memo=false runs every liveness probe concretely")
-	progressIv := fs.Duration("progress", 0, "enumeration: emit a heartbeat line (states, states/sec, frontier, memo-hit rate) at this interval (0 = off)")
+	var eo enumOpts
+	fs.StringVar(&eo.scope, "scope", "n3g2", "enumeration scope, n<nodes>g<groups>[c<crashes>]")
+	fs.IntVar(&eo.depth, "depth", 12, "enumeration op-prefix depth bound")
+	fs.IntVar(&eo.budget, "budget", 0, "enumeration run budget per invocation (0 = run until the scope is swept)")
+	fs.StringVar(&eo.checkpoint, "checkpoint", "", "enumeration checkpoint file: resumed when present, written when the budget stops the sweep early")
+	fs.BoolVar(&eo.por, "por", true, "enumeration: partial-order reduction (sleep sets); -por=false sweeps the unreduced graph")
+	fs.BoolVar(&eo.probeMemo, "probe-memo", true, "enumeration: probe-trajectory memoisation; -probe-memo=false runs every liveness probe concretely")
+	fs.DurationVar(&eo.progress, "progress", 0, "enumeration: emit a heartbeat line (states, states/sec, frontier, memo-hit rate) at this interval (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *par < 1 {
+		// Simulator sweeps and enumeration are CPU bound: one per CPU.
+		// A loopback cluster also needs the kernel and the other
+		// clusters' timers: half the CPUs.
+		*par = runtime.GOMAXPROCS(0)
+		if *rtMode && !*enum {
+			*par = max(1, runtime.NumCPU()/2)
+		}
+	}
 	if *enum {
-		// -par doubles as the expansion worker count, but its rtnet-sized
-		// default is wrong here: enumeration workers are CPU bound, so an
-		// unset flag means one worker per available CPU.
-		enumPar := runtime.GOMAXPROCS(0)
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "par" {
-				enumPar = *par
-			}
-		})
-		return runEnumerate(out, enumOpts{
-			scope:      *scope,
-			depth:      *depth,
-			budget:     *budget,
-			checkpoint: *checkpoint,
-			traceOut:   *traceOut,
-			noShrink:   *noShrink,
-			verbose:    *verbose,
-			par:        enumPar,
-			por:        *por,
-			probeMemo:  *probeMemo,
-			progress:   *progressIv,
-		})
+		eo.traceOut, eo.noShrink, eo.verbose, eo.par = *traceOut, *noShrink, *verbose, *par
+		return runEnumerate(out, eo)
 	}
 	// Real-network runs are wall-clock bound, so the sweep defaults shrink
 	// to keep a 100-seed pass in the minutes range, and real links get the
 	// default fault mix. Explicit flags win.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var clock explore.Clock
 	if *rtMode {
-		if !set["faults"] {
-			*faultSpec = defaultRTFaults
+		clock = explore.Loopback(explore.RTOptions{Scale: *rtScale})
+		rtDefaults := map[string]string{"faults": defaultRTFaults, "nodes": "5", "ops": "30", "lwgs": "2", "crashes": "1"}
+		fs.Visit(func(f *flag.Flag) { delete(rtDefaults, f.Name) })
+		for name, v := range rtDefaults {
+			_ = fs.Set(name, v) // every value above parses
 		}
-		if !set["nodes"] {
-			*nodes = 5
-		}
-		if !set["ops"] {
-			*ops = 30
-		}
-		if !set["lwgs"] {
-			*lwgs = 2
-		}
-		if !set["crashes"] {
-			*crashes = 1
-		}
-	}
-	rtOpts := explore.RTOptions{Scale: *rtScale}
-	if _, err := faults.Parse(*faultSpec); err != nil {
-		return err
 	}
 	if *nodes < 2 || *nodes > explore.MaxNodes {
 		// Above MaxNodes a printed reproducer would not parse back.
@@ -163,16 +143,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var r explore.Result
-		if *rtMode {
-			r, err = explore.RunRT(s, rtOpts)
-			if err != nil {
-				return err
-			}
-		} else {
-			r = explore.Run(s)
+		r, err := clock.Run(s)
+		if err != nil {
+			return err
 		}
-		report(out, s, r, *rtMode)
+		report(out, s, r, clock)
 		if err := exportTrace(out, *traceOut, r.World.Events); err != nil {
 			return err
 		}
@@ -194,8 +169,8 @@ func run(args []string, out io.Writer) error {
 	swept := 0
 	// With -trace, keep the events worth explaining: the first failure
 	// wins (that is the run someone will want to reconstruct), otherwise
-	// the last seed's events. Sweep progress callbacks are serialized,
-	// so plain captures are safe even for the parallel -rtnet sweep.
+	// the last seed's events. Sweep reports seeds in order on this
+	// goroutine, so plain captures are safe at any -par.
 	var traceEvents []trace.Event
 	traceLocked := false
 	progress := func(seed int64, r explore.Result) {
@@ -221,15 +196,9 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%s", check.Summary(r.Violations))
 		}
 	}
-	var failing []explore.Schedule
-	if *rtMode {
-		var err error
-		failing, err = explore.SweepRT(*start, *seeds, cfg, rtOpts, *par, progress)
-		if err != nil {
-			return err
-		}
-	} else {
-		failing = explore.Sweep(*start, *seeds, cfg, progress)
+	failing, err := explore.Sweep(clock, *start, *seeds, cfg, *par, progress)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "%d seeds swept, %d failing\n", swept, len(failing))
 	if err := exportTrace(out, *traceOut, traceEvents); err != nil {
@@ -241,24 +210,11 @@ func run(args []string, out io.Writer) error {
 
 	// Shrink and print a reproducer for the first failure; the rest are
 	// listed by seed only.
-	runOnce := func(c explore.Schedule) explore.Result {
-		if *rtMode {
-			r, err := explore.RunRT(c, rtOpts)
-			if err != nil {
-				return explore.Result{}
-			}
-			return r
-		}
-		return explore.Run(c)
-	}
 	s := failing[0]
 	if !*noShrink {
 		fmt.Fprintf(out, "shrinking seed %d (%d ops)...\n", s.Seed, len(s.Ops))
-		s = explore.Shrink(s, func(c explore.Schedule) bool {
-			return runOnce(c).Failed()
-		})
 	}
-	report(out, s, runOnce(s), *rtMode)
+	reproduce(out, clock, s, *noShrink)
 	if len(failing) > 1 {
 		fmt.Fprintf(out, "other failing seeds:")
 		for _, f := range failing[1:] {
@@ -267,6 +223,20 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 	return fmt.Errorf("%d of %d seeds failed", len(failing), swept)
+}
+
+// reproduce shrinks a failing schedule on the clock it failed on (unless
+// noShrink) and prints its failure report. A run the loopback clock could
+// not start returns the zero Result, which counts as a failure.
+func reproduce(out io.Writer, c explore.Clock, s explore.Schedule, noShrink bool) {
+	if !noShrink {
+		s = explore.Shrink(s, func(s explore.Schedule) bool {
+			r, _ := c.Run(s)
+			return r.Failed()
+		})
+	}
+	r, _ := c.Run(s)
+	report(out, s, r, c)
 }
 
 // explainLimit caps how many stitched operations the explain mode
@@ -312,7 +282,7 @@ func exportTrace(out io.Writer, path string, events []trace.Event) error {
 	return nil
 }
 
-func report(out io.Writer, s explore.Schedule, r explore.Result, rtnet bool) {
+func report(out io.Writer, s explore.Schedule, r explore.Result, c explore.Clock) {
 	if !r.Completed {
 		fmt.Fprintf(out, "run did not complete within the step budget (livelock?)\n")
 	}
@@ -320,6 +290,6 @@ func report(out io.Writer, s explore.Schedule, r explore.Result, rtnet bool) {
 		fmt.Fprintf(out, "violations:\n%s", check.Summary(r.Violations))
 	}
 	if r.Failed() {
-		fmt.Fprintf(out, "reproducer:\n%s", explore.Reproducer(s, rtnet))
+		fmt.Fprintf(out, "reproducer:\n%s", explore.Reproducer(s, c))
 	}
 }

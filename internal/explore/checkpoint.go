@@ -14,9 +14,9 @@ import (
 )
 
 // Checkpoint is a resumable sweep: the visited-state set, the memoised
-// probe trajectories and the unexplored frontier. It lets CI split one
-// scope across bounded slices (run with -budget, save, resume) without
-// re-walking visited states.
+// probe trajectories and the unexplored frontier. With lwgcheck's
+// -budget and -checkpoint, a scope too large for one sitting is swept in
+// bounded slices (run, save, resume) without re-walking visited states.
 //
 // The v2 text format compresses the two heavy sections. Digest sets are
 // sorted, delta-encoded as uvarints (neighbouring digests share no

@@ -119,7 +119,7 @@ func TestDigestMatchesReference(t *testing.T) {
 				if !w.completed {
 					break
 				}
-				w.apply(op)
+				apply(w, op)
 				check(t, w, fmt.Sprintf("seed %d op %d", seed, i))
 			}
 		}
@@ -145,7 +145,7 @@ func TestDigestMatchesReference(t *testing.T) {
 			if !w.completed {
 				t.Fatalf("prefix livelocked at op %d", i)
 			}
-			w.apply(op)
+			apply(w, op)
 			check(t, w, fmt.Sprintf("op %d", i))
 		}
 		// Probe trajectory states (the memoisation digests these).

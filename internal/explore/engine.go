@@ -398,13 +398,7 @@ func (e *engine) expand(n *pnode) expandOut {
 func (e *engine) expandFull(n *pnode) expandOut {
 	s := e.sc.schedule(n.ops())
 	w := newWorld(s)
-	for _, op := range s.Ops {
-		w.advance(op.Delay)
-		if !w.completed {
-			break
-		}
-		w.apply(op)
-	}
+	play(w)
 	if !w.completed {
 		return expandOut{livelock: true, livelockRes: w.finish()}
 	}

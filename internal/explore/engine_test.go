@@ -73,17 +73,48 @@ func TestEnumerateParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestEnumerateRecordsFindings: with a delivery suppression stamped into
+// every enumerated schedule, a tiny scope fails on states whose probe
+// delivers at node 0. The sweep must record the same findings at every
+// worker count, report the scope swept only while it stayed under
+// maxFindings (n2g1 does, n2g2 reaches it), and hand back schedules that
+// fail again under Run. The pruning layers stay off: the digest
+// abstracts the trace away, so a probe memo would count a state whose
+// history holds the suppressed delivery as converged.
+func TestEnumerateRecordsFindings(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		cfg := EnumConfig{
+			Scope: Scope{Nodes: 2, Groups: groups, Quiesce: 8 * time.Second, fault: Fault{Node: 0, Drop: 1}},
+			Depth: 4,
+		}
+		label := cfg.Scope.String()
+		serial, par := cfg, cfg
+		serial.Par = 1
+		par.Par = 4
+		res := Enumerate(serial)
+		enumEqual(t, label, res, Enumerate(par))
+		if len(res.Findings) == 0 {
+			t.Fatalf("%s: no findings", label)
+		}
+		if res.Swept != (len(res.Findings) < maxFindings) {
+			t.Fatalf("%s: %d findings but swept=%v", label, len(res.Findings), res.Swept)
+		}
+		if groups == 2 && len(res.Findings) != maxFindings {
+			t.Fatalf("%s: %d findings, want the sweep stopped at %d", label, len(res.Findings), maxFindings)
+		}
+		for i, f := range res.Findings {
+			if !Run(f.Schedule).Failed() {
+				t.Errorf("%s: finding %d passes under Run:\n%s", label, i, Encode(f.Schedule))
+			}
+		}
+	}
+}
+
 // replayWorld re-executes a prefix from a fresh world. Callers check
 // w.completed to detect a livelocked prefix.
 func replayWorld(sc Scope, ops []Op) *world {
 	w := newWorld(sc.schedule(ops))
-	for _, op := range ops {
-		w.advance(op.Delay)
-		if !w.completed {
-			return w
-		}
-		w.apply(op)
-	}
+	play(w)
 	return w
 }
 

@@ -56,6 +56,10 @@ type Scope struct {
 	// Quiesce is the liveness bound: the post-heal convergence window
 	// every reachable state must reconverge within.
 	Quiesce time.Duration
+
+	// fault is stamped into every enumerated schedule; tests set it to
+	// make a sweep find something.
+	fault Fault
 }
 
 // ParseScope parses the "n<nodes>g<groups>[c<crashes>]" grammar.
@@ -137,6 +141,7 @@ func (sc Scope) schedule(ops []Op) Schedule {
 		LWGs:    sc.lwgs(),
 		Ops:     ops,
 		Quiesce: sc.Quiesce,
+		Fault:   sc.fault,
 		Origin:  fmt.Sprintf("enumerate -scope %s", sc),
 	}
 }

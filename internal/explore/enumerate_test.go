@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"plwg/internal/check"
 )
 
 func TestParseScope(t *testing.T) {
@@ -224,7 +226,7 @@ func TestEnumeratedScheduleShrinks(t *testing.T) {
 	// The reproducer of an enumerated schedule must not suggest a seed
 	// sweep (a seed cannot regenerate it), and must survive a replay
 	// round-trip.
-	rep := Reproducer(min, false)
+	rep := Reproducer(min, Clock{})
 	if strings.Contains(rep, "-seeds 1") {
 		t.Fatalf("enumerated reproducer suggests a seed sweep:\n%s", rep)
 	}
@@ -266,6 +268,43 @@ func TestEnumFindingsReplay(t *testing.T) {
 				t.Fatalf("reproducer still fails (completed=%v):\n%s",
 					r.Completed, summary(r))
 			}
+		})
+	}
+}
+
+// TestKnownFailuresStillFail replays the pinned reproducers of protocol
+// bugs that are found but not yet fixed (testdata/known). Each must
+// still fail with a vs-agreement violation; the fix moves its file to
+// testdata/enum, where TestEnumFindingsReplay requires it to pass.
+func TestKnownFailuresStillFail(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "known", "*.schedule"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no pinned known-failure reproducers found")
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			text, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Parse(string(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := Run(s)
+			for _, v := range r.Violations {
+				if v.Invariant == check.InvAgreement {
+					return
+				}
+			}
+			t.Fatalf("known failure no longer fails with vs-agreement (completed=%v):\n%s"+
+				"If the bug was fixed, move the file to testdata/enum. An unrelated timing "+
+				"change can also reshuffle which frames the loss drops; then re-pin the "+
+				"reproducer from the seed sweep named in the file's header.",
+				r.Completed, summary(r))
 		})
 	}
 }

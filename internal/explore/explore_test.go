@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,17 +77,57 @@ func TestParseLongLineKeepsTheRest(t *testing.T) {
 	}
 }
 
+// TestSweepReportsInSeedOrder: a parallel sweep reports every seed once,
+// in seed order, with the serial sweep's verdicts and failing list.
+func TestSweepReportsInSeedOrder(t *testing.T) {
+	g := smallCfg()
+	g.Faults = "loss=0.05"
+	type verdict struct {
+		seed       int64
+		completed  bool
+		violations int
+	}
+	sweep := func(par int) (got []verdict, failing []int64) {
+		fs, err := Sweep(Clock{}, 1, 12, g, par, func(seed int64, r Result) {
+			got = append(got, verdict{seed, r.Completed, len(r.Violations)})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range fs {
+			failing = append(failing, s.Seed)
+		}
+		return got, failing
+	}
+	serial, serialFailing := sweep(1)
+	for i, v := range serial {
+		if v.seed != int64(i+1) {
+			t.Fatalf("serial sweep reported seed %d at position %d", v.seed, i)
+		}
+	}
+	par, parFailing := sweep(4)
+	if !reflect.DeepEqual(par, serial) {
+		t.Fatalf("par 4 reports differ from the serial sweep:\n%v\n%v", par, serial)
+	}
+	if !reflect.DeepEqual(parFailing, serialFailing) {
+		t.Fatalf("par 4 failing seeds %v, serial %v", parFailing, serialFailing)
+	}
+}
+
 // TestCleanSeedsPassAndReplayDeterministically is the explorer's core
 // soundness property: correct protocol runs produce no violations, and a
 // re-run of the same schedule reproduces the identical trace.
 func TestCleanSeedsPassAndReplayDeterministically(t *testing.T) {
-	failing := Sweep(1, 3, smallCfg(), func(seed int64, r Result) {
+	failing, err := Sweep(Clock{}, 1, 3, smallCfg(), 1, func(seed int64, r Result) {
 		if r.Failed() {
 			s := Random(seed, smallCfg())
 			t.Errorf("seed %d failed:\n%s\nreproduce:\n%s",
-				seed, check.Summary(r.Violations), Reproducer(s, false))
+				seed, check.Summary(r.Violations), Reproducer(s, Clock{}))
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(failing) != 0 {
 		t.Fatalf("%d clean seeds failed", len(failing))
 	}
@@ -197,7 +238,7 @@ func TestInjectedFaultIsDetectedAndShrinks(t *testing.T) {
 		t.Fatalf("reproducer not deterministic:\n%s\nvs\n%s", v1, v2)
 	}
 	t.Logf("shrunk %d ops -> %d ops in %d runs; reproducer:\n%s",
-		len(faulted.Ops), len(shrunk.Ops), runs, Reproducer(shrunk, false))
+		len(faulted.Ops), len(shrunk.Ops), runs, Reproducer(shrunk, Clock{}))
 }
 
 func TestInjectFault(t *testing.T) {

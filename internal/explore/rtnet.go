@@ -2,8 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"plwg/internal/check"
@@ -15,14 +13,14 @@ import (
 	"plwg/internal/trace"
 )
 
-// Real-network schedule runner: the same chaos schedules the simulated
-// runner (Run) executes, but driven against live rtnet Nodes talking real
-// UDP on the loopback, with the transport taking the schedule's fault spec
-// and partitions as link Block rules. Runs are NOT deterministic — the
-// kernel scheduler and the real clock interleave frames — but the fault
-// decisions themselves are seeded per node, and a schedule that fails here
-// is still replayable: the reproducer embeds the fault spec
-// (Schedule.Faults) and `lwgcheck -rtnet -replay` re-runs it.
+// The loopback clock: the same chaos schedules, through the same
+// interpreter (apply) as the simulator, but driven against live rtnet
+// Nodes talking real UDP on the loopback, with the transport taking the
+// schedule's fault spec and partitions as link Block rules. Runs are NOT
+// deterministic — the kernel scheduler and the real clock interleave
+// frames — but the fault decisions themselves are seeded per node, and a
+// schedule that fails here is still replayable: the reproducer embeds the
+// fault spec (Schedule.Faults) and `lwgcheck -rtnet -replay` re-runs it.
 
 // RTOptions configures real-network schedule execution.
 type RTOptions struct {
@@ -33,13 +31,6 @@ type RTOptions struct {
 	// scaled schedule quiescence, floored at 8s so mapping leases orphaned
 	// by crashes have time to expire).
 	Quiesce time.Duration
-}
-
-func (o RTOptions) withDefaults() RTOptions {
-	if o.Scale <= 0 {
-		o.Scale = 0.1
-	}
-	return o
 }
 
 func (o RTOptions) scale(d time.Duration) time.Duration {
@@ -92,20 +83,29 @@ func snapshotProc(n *rtnet.Node) *staticProc {
 // installed, so aliasing one value across links is safe.
 var blockRule = &faults.Rule{Block: true}
 
-// RunRT executes the schedule against a live loopback cluster and checks
-// the same safety properties as Run. Partitions become asymmetric Block
-// rules: the cut index picks the direction (cut%3 == 0 blocks both ways,
-// 1 blocks only low→high, 2 blocks only high→low), so every sweep
-// exercises one-way partitions — the failure mode a simulated symmetric
-// SetPartitions can never produce.
-func RunRT(s Schedule, o RTOptions) (Result, error) {
-	o = o.withDefaults()
-	baseFS, err := faults.Parse(s.Faults)
-	if err != nil {
-		return Result{}, err
-	}
+// rtCluster is the loopback backend: one rtnet Node per process, each
+// installing the schedule's fault spec on its outgoing links. Partitions
+// become asymmetric Block rules: the cut index picks the direction
+// (cut%3 == 0 blocks both ways, 1 blocks only low→high, 2 blocks only
+// high→low), so every sweep exercises one-way partitions — the failure
+// mode a simulated symmetric SetPartitions can never produce.
+type rtCluster struct {
+	intent
+	o     RTOptions
+	base  *faults.Spec
+	rec   *trace.SyncRecorder
+	nodes []*rtnet.Node
+}
 
-	rec := &trace.SyncRecorder{}
+func newRTCluster(s Schedule, o RTOptions) (*rtCluster, error) {
+	base, err := faults.Parse(s.Faults)
+	if err != nil {
+		return nil, err
+	}
+	if o.Scale <= 0 {
+		o.Scale = 0.1
+	}
+	c := &rtCluster{intent: newIntent(s), o: o, base: base, rec: &trace.SyncRecorder{}}
 	svcCfg := core.DefaultConfig()
 	svcCfg.PolicyInterval = time.Hour // policy runs only via OpPolicy
 	// Short mapping leases so mappings orphaned by crashed views expire
@@ -113,135 +113,106 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 	svcCfg.MappingRefreshInterval = time.Second
 	nsCfg := naming.Config{MappingTTL: 3 * time.Second}
 
-	serverPids := s.Servers()
-	nodes := make(map[ids.ProcessID]*rtnet.Node, s.Nodes)
-	closeAll := func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}
 	addrs := make(map[ids.ProcessID]string, s.Nodes)
 	for i := 0; i < s.Nodes; i++ {
-		pid := ids.ProcessID(i)
 		n, err := rtnet.Listen(rtnet.NodeConfig{
-			PID:         pid,
+			PID:         ids.ProcessID(i),
 			Listen:      "127.0.0.1:0",
-			NameServers: serverPids,
+			NameServers: s.Servers(),
 			Service:     svcCfg,
 			Naming:      nsCfg,
-			Tracer:      rec,
+			Tracer:      c.rec,
 			Seed:        s.Seed*1009 + int64(i),
 		})
 		if err != nil {
-			closeAll()
-			return Result{}, fmt.Errorf("rtnet node %d: %w", i, err)
+			c.closeAll()
+			return nil, fmt.Errorf("rtnet node %d: %w", i, err)
 		}
-		nodes[pid] = n
-		addrs[pid] = n.Addr().String()
+		c.nodes = append(c.nodes, n)
+		addrs[ids.ProcessID(i)] = n.Addr().String()
 	}
-	crashed := make(map[ids.ProcessID]bool)
-	live := func() []ids.ProcessID {
-		var out []ids.ProcessID
-		for i := 0; i < s.Nodes; i++ {
-			if p := ids.ProcessID(i); !crashed[p] {
-				out = append(out, p)
-			}
+	for i, n := range c.nodes {
+		if err := n.SetPeers(addrs); err != nil {
+			c.closeAll()
+			return nil, err
 		}
-		return out
-	}
-	installBase := func() {
-		for _, p := range live() {
-			nodes[p].SetFaults(baseFS)
+		n.SetFaults(base)
+		if err := n.Start(); err != nil {
+			c.closeAll()
+			return nil, fmt.Errorf("rtnet node %d start: %w", i, err)
 		}
 	}
-	for i := 0; i < s.Nodes; i++ {
-		pid := ids.ProcessID(i)
-		if err := nodes[pid].SetPeers(addrs); err != nil {
-			closeAll()
-			return Result{}, err
-		}
-		nodes[pid].SetFaults(baseFS)
-		if err := nodes[pid].Start(); err != nil {
-			closeAll()
-			return Result{}, fmt.Errorf("rtnet node %d start: %w", i, err)
-		}
-	}
+	return c, nil
+}
 
-	isServer := make(map[ids.ProcessID]bool)
-	for _, p := range serverPids {
-		isServer[p] = true
+func (c *rtCluster) closeAll() {
+	for _, n := range c.nodes {
+		n.Close()
 	}
-	memberOf := make(map[ids.LWGID]map[ids.ProcessID]bool)
-	for _, l := range s.LWGs {
-		memberOf[l] = make(map[ids.ProcessID]bool)
-	}
-	known := func(l ids.LWGID) bool { return memberOf[l] != nil }
+}
 
-	msgID := 0
-	for _, op := range s.Ops {
-		time.Sleep(o.scale(op.Delay))
-		switch op.Kind {
-		case OpJoin:
-			if p := op.P; nodes[p] != nil && known(op.LWG) && !crashed[p] && !memberOf[op.LWG][p] {
-				lwg := op.LWG
-				nodes[p].Do(func(ep *core.Endpoint) {
-					if err := ep.Join(lwg); err == nil {
-						memberOf[lwg][p] = true
-					}
-				})
-			}
-		case OpLeave:
-			if p := op.P; nodes[p] != nil && known(op.LWG) && !crashed[p] && memberOf[op.LWG][p] {
-				lwg := op.LWG
-				nodes[p].Do(func(ep *core.Endpoint) { _ = ep.Leave(lwg) })
-				delete(memberOf[op.LWG], p)
-			}
-		case OpSend:
-			if p := op.P; nodes[p] != nil && known(op.LWG) && !crashed[p] && memberOf[op.LWG][p] {
-				msgID++
-				lwg, pay := op.LWG, fmt.Sprintf("m%d", msgID)
-				nodes[p].Do(func(ep *core.Endpoint) { _ = ep.Send(lwg, []byte(pay)) })
-			}
-		case OpPart:
-			if op.Cut > 0 && op.Cut < s.Nodes {
-				// Replace (not stack) any previous partition, matching the
-				// simulated SetPartitions semantics.
-				installBase()
-				dir := op.Cut % 3
-				for _, a := range live() {
-					for _, b := range live() {
-						lowHigh := int(a) < op.Cut && int(b) >= op.Cut
-						highLow := int(a) >= op.Cut && int(b) < op.Cut
-						if (lowHigh && dir != 2) || (highLow && dir != 1) {
-							nodes[a].SetLinkFault(b, blockRule)
-						}
-					}
-				}
-			}
-		case OpHeal:
-			installBase()
-		case OpCrash:
-			if p := op.P; nodes[p] != nil && int(p) < s.Nodes && !isServer[p] && !crashed[p] {
-				nodes[p].Close()
-				crashed[p] = true
-				for _, l := range s.LWGs {
-					delete(memberOf[l], p)
-				}
-			}
-		case OpPolicy:
-			for _, p := range live() {
-				nodes[p].Do(func(ep *core.Endpoint) { ep.RunPolicyNow() })
+// heal puts every live node back on the schedule's fault spec, dropping
+// any partition's link rules.
+func (c *rtCluster) heal() {
+	for _, p := range c.live() {
+		c.nodes[p].SetFaults(c.base)
+	}
+}
+
+// The op effects apply performs on the loopback cluster, each run on the
+// node's protocol loop.
+
+func (c *rtCluster) join(p ids.ProcessID, l ids.LWGID) error {
+	var err error
+	c.nodes[p].Do(func(ep *core.Endpoint) { err = ep.Join(l) })
+	return err
+}
+
+func (c *rtCluster) leave(p ids.ProcessID, l ids.LWGID) {
+	c.nodes[p].Do(func(ep *core.Endpoint) { _ = ep.Leave(l) })
+}
+
+func (c *rtCluster) send(p ids.ProcessID, l ids.LWGID, payload []byte) {
+	c.nodes[p].Do(func(ep *core.Endpoint) { _ = ep.Send(l, payload) })
+}
+
+// part replaces (not stacks) any previous partition, matching the
+// simulated SetPartitions semantics.
+func (c *rtCluster) part(cut int) {
+	c.heal()
+	dir := cut % 3
+	live := c.live()
+	for _, a := range live {
+		for _, b := range live {
+			lowHigh := int(a) < cut && int(b) >= cut
+			highLow := int(a) >= cut && int(b) < cut
+			if (lowHigh && dir != 2) || (highLow && dir != 1) {
+				c.nodes[a].SetLinkFault(b, blockRule)
 			}
 		}
 	}
+}
 
-	// Quiesce: heal all partitions but keep the base faults for a stress
-	// window, then run the tail fault-free so reconciliation, anti-entropy
-	// and lease expiry can finish on a clean network (the real-time
-	// equivalent of the simulated runner's final Heal).
-	quiesce := o.Quiesce
+func (c *rtCluster) crash(p ids.ProcessID) { c.nodes[p].Close() }
+
+func (c *rtCluster) policy(p ids.ProcessID) {
+	c.nodes[p].Do(func(ep *core.Endpoint) { ep.RunPolicyNow() })
+}
+
+func (c *rtCluster) advance(d time.Duration) bool {
+	time.Sleep(c.o.scale(d))
+	return true
+}
+
+// finish heals every partition but keeps the base faults for a stress
+// window, then runs the tail fault-free so reconciliation, anti-entropy
+// and lease expiry can finish on a clean network (the real-time
+// equivalent of the simulated runner's final heal), checks, and closes
+// the cluster.
+func (c *rtCluster) finish() Result {
+	quiesce := c.o.Quiesce
 	if quiesce <= 0 {
-		quiesce = o.scale(s.Quiesce)
+		quiesce = c.o.scale(c.sched.Quiesce)
 		if quiesce < 8*time.Second {
 			quiesce = 8 * time.Second
 		}
@@ -250,32 +221,12 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 	if stress > quiesce/2 {
 		stress = quiesce / 2
 	}
-	installBase()
+	c.heal()
 	time.Sleep(stress)
-	for _, p := range live() {
-		nodes[p].SetFaults(nil)
+	for _, p := range c.live() {
+		c.nodes[p].SetFaults(nil)
 	}
 	time.Sleep(quiesce - stress)
-
-	expected := expectedMembers(memberOf)
-
-	buildWorld := func() *check.World {
-		procs := make(map[ids.ProcessID]check.Process)
-		dbs := make(map[ids.ProcessID]*naming.DB)
-		for _, p := range live() {
-			procs[p] = snapshotProc(nodes[p])
-			if db := nodes[p].NamingDBSnapshot(); db != nil {
-				dbs[p] = db
-			}
-		}
-		return &check.World{
-			Events:   injectFault(rec.Snapshot(), s.Fault),
-			Procs:    procs,
-			Servers:  dbs,
-			Expected: expected,
-			Crashed:  crashed,
-		}
-	}
 
 	// The fixed window above is the minimum: if the checks already pass,
 	// the run is done. If not, poll within a bounded grace period before
@@ -285,66 +236,26 @@ func RunRT(s Schedule, o RTOptions) (Result, error) {
 	// its goroutines are starved, and checking the snapshot once at the
 	// bell turns scheduler noise into flaky failures. A real wedge still
 	// fails: it stays wedged past the grace deadline too.
-	world := buildWorld()
+	world := c.checkWorld()
 	violations := check.Run(world)
 	for deadline := time.Now().Add(quiesce); len(violations) > 0 && time.Now().Before(deadline); {
 		time.Sleep(500 * time.Millisecond)
-		world = buildWorld()
+		world = c.checkWorld()
 		violations = check.Run(world)
 	}
-	closeAll()
-
-	return Result{
-		Completed:  true,
-		World:      world,
-		Violations: violations,
-	}, nil
+	c.closeAll()
+	return Result{Completed: true, World: world, Violations: violations}
 }
 
-// SweepRT runs real-network schedules for seeds start..start+count-1, up
-// to par at a time, and returns the failing ones (ordered by seed).
-// report, when non-nil, is called once per seed under a lock. Random
-// stamps the sweep's fault spec (g.Faults) into each schedule, so printed
-// reproducers are self-contained.
-func SweepRT(start int64, count int, g GenConfig, o RTOptions, par int, report func(seed int64, r Result)) ([]Schedule, error) {
-	o = o.withDefaults()
-	if _, err := faults.Parse(g.Faults); err != nil {
-		return nil, err
+// checkWorld snapshots the live nodes for the invariant checker.
+func (c *rtCluster) checkWorld() *check.World {
+	procs := make(map[ids.ProcessID]check.Process)
+	dbs := make(map[ids.ProcessID]*naming.DB)
+	for _, p := range c.live() {
+		procs[p] = snapshotProc(c.nodes[p])
+		if db := c.nodes[p].NamingDBSnapshot(); db != nil {
+			dbs[p] = db
+		}
 	}
-	if par < 1 {
-		par = 1
-	}
-	var (
-		mu      sync.Mutex
-		failing []Schedule
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, par)
-	)
-	for seed := start; seed < start+int64(count); seed++ {
-		seed := seed
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			s := Random(seed, g)
-			r, err := RunRT(s, o)
-			if err != nil {
-				// The spec was validated above; a run error here is an
-				// environment failure (socket exhaustion) — surface it as
-				// an incomplete run.
-				r = Result{}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if report != nil {
-				report(seed, r)
-			}
-			if r.Failed() {
-				failing = append(failing, s)
-			}
-		}()
-	}
-	wg.Wait()
-	sort.Slice(failing, func(i, j int) bool { return failing[i].Seed < failing[j].Seed })
-	return failing, nil
+	return c.checked(c.rec.Snapshot(), procs, dbs)
 }

@@ -41,13 +41,15 @@ func TestFaultsRoundTrip(t *testing.T) {
 func TestRunRTRejectsBadFaultSpec(t *testing.T) {
 	s := Random(1, smallCfg())
 	s.Faults = "loss=2.5"
-	if _, err := RunRT(s, RTOptions{}); err == nil {
-		t.Fatal("RunRT accepted an out-of-range loss probability")
+	if _, err := Loopback(RTOptions{}).Run(s); err == nil {
+		t.Fatal("the loopback clock accepted an out-of-range loss probability")
 	}
 	bad := smallCfg()
 	bad.Faults = "wibble"
-	if _, err := SweepRT(1, 1, bad, RTOptions{}, 1, nil); err == nil {
-		t.Fatal("SweepRT accepted an unknown fault item")
+	for _, c := range []Clock{{}, Loopback(RTOptions{})} {
+		if _, err := Sweep(c, 1, 1, bad, 1, nil); err == nil {
+			t.Fatalf("Sweep (loopback=%v) accepted an unknown fault item", c.rt != nil)
+		}
 	}
 }
 
@@ -60,27 +62,27 @@ func TestReproducerHintPerClock(t *testing.T) {
 	s := Random(7, g)
 	hint := fmt.Sprintf("-seeds 1 -start 7 -nodes 5 -ops %d -faults 'loss=0.15;2:block'\n", len(s.Ops))
 	for _, tc := range []struct {
-		rtnet bool
+		clock Clock
 		mode  string
-	}{{false, ""}, {true, "-rtnet "}} {
-		rep := Reproducer(s, tc.rtnet)
+	}{{Clock{}, ""}, {Loopback(RTOptions{}), "-rtnet "}} {
+		rep := Reproducer(s, tc.clock)
 		for _, want := range []string{
 			"\nfaults loss=0.15;2:block\n",
 			"# replay: go run ./cmd/lwgcheck " + tc.mode + "-replay <this file>\n",
 			"# or:     go run ./cmd/lwgcheck " + tc.mode + hint,
 		} {
 			if !strings.Contains(rep, want) {
-				t.Errorf("rtnet=%v: reproducer lacks %q:\n%s", tc.rtnet, want, rep)
+				t.Errorf("%q: reproducer lacks %q:\n%s", tc.mode, want, rep)
 			}
 		}
 	}
 	// A clean virtual schedule names no faults; a clean real-network one
 	// must, or -rtnet would re-run it under lwgcheck's default faults.
 	clean := Random(7, smallCfg())
-	if rep := Reproducer(clean, false); strings.Contains(rep, "-faults") {
+	if rep := Reproducer(clean, Clock{}); strings.Contains(rep, "-faults") {
 		t.Errorf("clean virtual reproducer names faults:\n%s", rep)
 	}
-	if rep := Reproducer(clean, true); !strings.Contains(rep, "-faults ''\n") {
+	if rep := Reproducer(clean, Loopback(RTOptions{})); !strings.Contains(rep, "-faults ''\n") {
 		t.Errorf("clean real-network reproducer omits -faults '':\n%s", rep)
 	}
 }
@@ -114,7 +116,7 @@ func TestRunRTSmoke(t *testing.T) {
 	// The quiesce override trims the default 30s tail: 2s stress + 10s
 	// clean is still comfortably past the naming TTL (3s) and the FD
 	// suspicion tolerance (~450ms).
-	r, err := RunRT(s, RTOptions{Scale: 1, Quiesce: 12 * time.Second})
+	r, err := Loopback(RTOptions{Scale: 1, Quiesce: 12 * time.Second}).Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestRunRTSmoke(t *testing.T) {
 // run uses a quiesce window tight enough that checking the state once
 // when the window elapses is a coin flip on a loaded box — exactly the
 // flake the parallel sweep used to produce, where wall-clock sleeps
-// elapsed while the cluster's goroutines were starved. RunRT now treats
+// elapsed while the cluster's goroutines were starved. The loopback clock treats
 // the window as a minimum and keeps polling within a bounded grace
 // period until the checks pass, so this run must be robust even under
 // CPU contention.
@@ -150,7 +152,7 @@ func TestRunRTConvergencePollsPastTheBell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunRT(s, RTOptions{Scale: 1, Quiesce: 4 * time.Second})
+	r, err := Loopback(RTOptions{Scale: 1, Quiesce: 4 * time.Second}).Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,9 @@ type Schedule struct {
 	Quiesce time.Duration
 	// Fault optionally injects a delivery suppression (see Fault).
 	Fault Fault
-	// Faults is the fault spec (faults.Parse grammar) both runners install:
-	// Run through quiescence, RunRT until its clean tail. Empty is clean.
+	// Faults is the fault spec (faults.Parse grammar) both clocks install:
+	// the simulator through quiescence, the loopback clock until its clean
+	// tail. Empty is clean.
 	// Parse rejects an invalid spec; Run panics on one set in code.
 	Faults string
 	// Origin records how the schedule was produced: empty for seeded
@@ -379,18 +380,4 @@ func parseOp(fields []string) (Op, error) {
 		return Op{}, fmt.Errorf("unknown op kind %q", op.Kind)
 	}
 	return op, nil
-}
-
-// expectedMembers computes the membership every group should converge
-// to: the processes the schedule left joined to it.
-func expectedMembers(memberOf map[ids.LWGID]map[ids.ProcessID]bool) map[ids.LWGID]ids.Members {
-	out := make(map[ids.LWGID]ids.Members, len(memberOf))
-	for l, ps := range memberOf {
-		ms := make([]ids.ProcessID, 0, len(ps))
-		for p := range ps {
-			ms = append(ms, p)
-		}
-		out[l] = ids.NewMembers(ms...)
-	}
-	return out
 }

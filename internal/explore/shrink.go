@@ -7,24 +7,6 @@ import (
 	"plwg/internal/ids"
 )
 
-// Sweep runs schedules for seeds start..start+count-1 and returns the
-// failing ones. report, when non-nil, is called after every seed (for
-// progress output).
-func Sweep(start int64, count int, g GenConfig, report func(seed int64, r Result)) []Schedule {
-	var failing []Schedule
-	for seed := start; seed < start+int64(count); seed++ {
-		s := Random(seed, g)
-		r := Run(s)
-		if report != nil {
-			report(seed, r)
-		}
-		if r.Failed() {
-			failing = append(failing, s)
-		}
-	}
-	return failing
-}
-
 // ShrinkBudget bounds the number of candidate runs one Shrink may spend.
 const ShrinkBudget = 400
 
@@ -133,14 +115,14 @@ func refsNode(s Schedule, p ids.ProcessID) bool {
 }
 
 // Reproducer renders a failing schedule as a replay recipe: the encoded
-// schedule plus the commands that re-run it on the clock it failed on
-// (rtnet: real UDP, otherwise the simulator). The seed-sweep hint, with
-// the fault spec it needs, only applies to seeded random schedules; an
-// enumerated (or shrunk enumerated) schedule cannot be regenerated from a
-// seed, so its origin line is printed instead.
-func Reproducer(s Schedule, rtnet bool) string {
+// schedule plus the commands that re-run it on the clock it failed on.
+// The seed-sweep hint, with the fault spec it needs, only applies to
+// seeded random schedules; an enumerated (or shrunk enumerated) schedule
+// cannot be regenerated from a seed, so its origin line is printed
+// instead.
+func Reproducer(s Schedule, c Clock) string {
 	mode := ""
-	if rtnet {
+	if c.rt != nil {
 		mode = "-rtnet "
 	}
 	out := fmt.Sprintf("%s\n# replay: go run ./cmd/lwgcheck %s-replay <this file>\n",
@@ -150,7 +132,7 @@ func Reproducer(s Schedule, rtnet bool) string {
 	}
 	hint := fmt.Sprintf("# or:     go run ./cmd/lwgcheck %s-seeds 1 -start %d -nodes %d -ops %d",
 		mode, s.Seed, s.Nodes, len(s.Ops))
-	if s.Faults != "" || rtnet {
+	if s.Faults != "" || c.rt != nil {
 		// -rtnet alone means lwgcheck's default faults, not a clean run.
 		hint += fmt.Sprintf(" -faults '%s'", s.Faults)
 	}

@@ -25,17 +25,9 @@ import (
 // consumed and no further operations may be applied.
 type world struct {
 	*cluster.Cluster
-	sched  Schedule
+	intent
 	tracer *trace.Recorder
 
-	// memberOf is the intended membership: the joins minus the leaves
-	// and crashes the schedule performed (the checker's Expected set).
-	memberOf map[ids.LWGID]map[ids.ProcessID]bool
-	crashed  map[ids.ProcessID]bool
-	// cut is the currently applied partition split (0 = healed).
-	cut int
-
-	msgID     int
 	completed bool
 
 	// lwgList and serverList are the deterministic scan orders (groups
@@ -53,10 +45,8 @@ type world struct {
 // operations. The spec stays in force through quiescence.
 func newWorld(s Schedule) *world {
 	w := &world{
-		sched:     s,
+		intent:    newIntent(s),
 		tracer:    &trace.Recorder{},
-		memberOf:  make(map[ids.LWGID]map[ids.ProcessID]bool),
-		crashed:   make(map[ids.ProcessID]bool),
 		completed: true,
 	}
 	cfg := core.DefaultConfig()
@@ -78,93 +68,49 @@ func newWorld(s Schedule) *world {
 		}
 		w.Net.SetFaults(fs)
 	}
-	for _, l := range s.LWGs {
-		w.memberOf[l] = make(map[ids.ProcessID]bool)
-	}
 	w.lwgList = append([]ids.LWGID(nil), s.LWGs...)
 	sort.Slice(w.lwgList, func(i, j int) bool { return w.lwgList[i] < w.lwgList[j] })
 	w.serverList = sortedServerPids(w.Servers)
 	return w
 }
 
-// ep returns p's endpoint, nil when p is outside the world.
-func (w *world) ep(p ids.ProcessID) *core.Endpoint {
-	if p >= 0 && int(p) < len(w.Endpoints) {
-		return w.Endpoints[p]
-	}
-	return nil
-}
-
 // advance runs the simulation for d of virtual time under the global step
 // budget; on budget exhaustion the world is marked incomplete (livelock).
-func (w *world) advance(d time.Duration) {
-	if !w.completed {
-		return
-	}
-	if !w.Sim.RunForCapped(d, maxSteps-w.Sim.Steps()) {
+func (w *world) advance(d time.Duration) bool {
+	if w.completed && !w.Sim.RunForCapped(d, maxSteps-w.Sim.Steps()) {
 		w.completed = false
 	}
+	return w.completed
 }
 
-// known reports whether the schedule declared the group.
-func (w *world) known(l ids.LWGID) bool { return w.memberOf[l] != nil }
+// The op effects apply performs on the simulator. The clock is stopped
+// between advances, so each takes effect at one virtual instant.
 
-// apply performs one operation (after its Delay has been advanced).
-// Inapplicable operations degrade to no-ops, exactly as documented on Op.
-func (w *world) apply(op Op) {
-	s := w.sched
-	switch op.Kind {
-	case OpJoin:
-		if ep := w.ep(op.P); ep != nil && w.known(op.LWG) && !w.crashed[op.P] && !w.memberOf[op.LWG][op.P] {
-			if err := ep.Join(op.LWG); err == nil {
-				w.memberOf[op.LWG][op.P] = true
-			}
+func (w *world) join(p ids.ProcessID, l ids.LWGID) error { return w.Endpoints[p].Join(l) }
+
+func (w *world) leave(p ids.ProcessID, l ids.LWGID) { _ = w.Endpoints[p].Leave(l) }
+
+func (w *world) send(p ids.ProcessID, l ids.LWGID, payload []byte) {
+	_ = w.Endpoints[p].Send(l, payload)
+}
+
+// part splits the network symmetrically into {0..cut-1} | {cut..},
+// replacing any previous partition.
+func (w *world) part(cut int) {
+	var a, b []netsim.NodeID
+	for i := 0; i < w.sched.Nodes; i++ {
+		if i < cut {
+			a = append(a, ids.ProcessID(i))
+		} else {
+			b = append(b, ids.ProcessID(i))
 		}
-	case OpLeave:
-		if ep := w.ep(op.P); ep != nil && w.known(op.LWG) && !w.crashed[op.P] && w.memberOf[op.LWG][op.P] {
-			_ = ep.Leave(op.LWG)
-			delete(w.memberOf[op.LWG], op.P)
-		}
-	case OpSend:
-		if ep := w.ep(op.P); ep != nil && w.known(op.LWG) && !w.crashed[op.P] && w.memberOf[op.LWG][op.P] {
-			w.msgID++
-			_ = ep.Send(op.LWG, []byte(fmt.Sprintf("m%d", w.msgID)))
-		}
-	case OpPart:
-		if op.Cut > 0 && op.Cut < s.Nodes {
-			var a, b []netsim.NodeID
-			for i := 0; i < s.Nodes; i++ {
-				if i < op.Cut {
-					a = append(a, ids.ProcessID(i))
-				} else {
-					b = append(b, ids.ProcessID(i))
-				}
-			}
-			w.Net.SetPartitions(a, b)
-			w.cut = op.Cut
-		}
-	case OpHeal:
-		w.Net.Heal()
-		w.cut = 0
-	case OpCrash:
-		if int(op.P) < s.Nodes && w.Servers[op.P] == nil && !w.crashed[op.P] {
-			w.Net.Crash(op.P)
-			w.crashed[op.P] = true
-			for _, l := range s.LWGs {
-				delete(w.memberOf[l], op.P)
-			}
-		}
-	case OpPolicy:
-		// Process order, so message emission is deterministic.
-		for i := 0; i < s.Nodes; i++ {
-			if p := ids.ProcessID(i); !w.crashed[p] {
-				w.Endpoints[p].RunPolicyNow()
-			}
-		}
-	case OpWait:
-		// No action: the op's Delay already passed before apply.
 	}
+	w.Net.SetPartitions(a, b)
 }
+
+func (w *world) crash(p ids.ProcessID) { w.Net.Crash(p) }
+
+func (w *world) policy(p ids.ProcessID) { w.Endpoints[p].RunPolicyNow() }
 
 // checkWorld snapshots the world for the invariant checker.
 func (w *world) checkWorld() *check.World {
@@ -176,13 +122,7 @@ func (w *world) checkWorld() *check.World {
 	for p, srv := range w.Servers {
 		dbs[p] = srv.DB()
 	}
-	return &check.World{
-		Events:   injectFault(w.tracer.Events, w.sched.Fault),
-		Procs:    procs,
-		Servers:  dbs,
-		Expected: expectedMembers(w.memberOf),
-		Crashed:  w.crashed,
-	}
+	return w.checked(w.tracer.Events, procs, dbs)
 }
 
 // heal removes every partition without advancing time. On an

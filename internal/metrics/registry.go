@@ -461,19 +461,3 @@ func promLabels(ls []Label) string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// histogramSuffixes are the sample-name suffixes a histogram flattens
-// into; WriteText groups them back under one TYPE comment.
-var histogramSuffixes = []string{
-	"_count", "_mean_seconds", "_min_seconds", "_max_seconds",
-	"_p50_seconds", "_p99_seconds",
-}
-
-func histogramBase(name string) string {
-	for _, suf := range histogramSuffixes {
-		if strings.HasSuffix(name, suf) {
-			return strings.TrimSuffix(name, suf)
-		}
-	}
-	return name
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"net/netip"
 	"runtime"
 	"slices"
 	"strings"
@@ -177,10 +176,6 @@ func listenLoopback(t testing.TB) *net.UDPConn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return conn
-}
-
-func addrPort(c *net.UDPConn) netip.AddrPort {
-	return c.LocalAddr().(*net.UDPAddr).AddrPort()
 }
 
 // newWriterRig builds process 0's transport with no goroutine running,
